@@ -6,8 +6,11 @@ Solves
 
 where A is an empirical covariance matrix and P(K) sums |K_ij| over all
 entries (``penalize_diagonal=True``) or over off-diagonal entries only.
-The solver is block coordinate descent over columns: each column update is
-a lasso problem on the partitioned system, solved by coordinate descent.
+The problem first splits into the connected components of the thresholded
+covariance {|A_ij| > lambda}, which are exactly the diagonal blocks of the
+solution. Each block of two or more variables is solved by block coordinate
+descent over columns: each column update is a lasso problem on the
+partitioned system, solved by coordinate descent.
 Optimality is certified by the max-norm violation of the subgradient
 conditions
 
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.sparse.csgraph import connected_components
 
 from .core import check_square_symmetric, symmetrize
 from .errors import InvalidInputError, SingularInputError
@@ -33,20 +37,29 @@ from .errors import InvalidInputError, SingularInputError
 def _lasso_gram_cd(Q, b, lam, beta, max_passes, tol):
     """Coordinate descent for min_beta 0.5*beta'Q beta - b'beta + lam*||beta||_1.
 
-    ``beta`` is updated in place (warm start). Returns (passes, residual)
-    where residual is the max-norm subgradient violation. Iterates until the
-    residual is within ``tol`` and the last pass changed no support entry,
-    so that coefficients at exactly zero stay exactly zero.
+    ``Q`` must be exactly symmetric. ``beta`` is updated in place (warm
+    start). Returns (passes, residual) where residual is the max-norm
+    subgradient violation. Iterates until the residual is within ``tol`` and
+    the last pass changed no support entry, so that coefficients at exactly
+    zero stay exactly zero.
+
+    The coordinate loop runs on Python floats; each update moves the whole
+    gradient with one vector operation, ``g += Q[i] * delta``, which by the
+    symmetry of ``Q`` does the same multiply and add per element as updating
+    along column ``i``.
     """
     m = beta.shape[0]
     g = Q @ beta
+    diag = Q.diagonal().tolist()
+    rhs = b.tolist()
+    coef = beta.tolist()
     resid = np.inf
     for p in range(max_passes):
         support_changed = False
         for i in range(m):
-            old = beta[i]
-            qii = Q[i, i]
-            u = b[i] - (g[i] - qii * old)
+            old = coef[i]
+            qii = diag[i]
+            u = rhs[i] - (float(g[i]) - qii * old)
             if u > lam:
                 new = (u - lam) / qii
             elif u < -lam:
@@ -54,36 +67,21 @@ def _lasso_gram_cd(Q, b, lam, beta, max_passes, tol):
             else:
                 new = 0.0
             if new != old:
-                delta = new - old
-                for k in range(m):
-                    g[k] += Q[k, i] * delta
-                beta[i] = new
+                g += Q[i] * (new - old)
+                coef[i] = new
                 if (old == 0.0) != (new == 0.0):
                     support_changed = True
-        resid = 0.0
-        for i in range(m):
-            gi = g[i] - b[i]
-            if beta[i] == 0.0:
-                v = abs(gi) - lam
-                if v < 0.0:
-                    v = 0.0
-            elif beta[i] > 0.0:
-                v = abs(gi + lam)
-            else:
-                v = abs(gi - lam)
-            if v > resid:
-                resid = v
+        beta[:] = coef
+        grad = g - b
+        violation = np.where(
+            beta == 0.0,
+            np.maximum(np.abs(grad) - lam, 0.0),
+            np.abs(grad + np.where(beta > 0.0, lam, -lam)),
+        )
+        resid = float(violation.max(initial=0.0))
         if resid <= tol and not support_changed:
             return p + 1, resid
     return max_passes, resid
-
-
-try:  # pragma: no cover - exercised implicitly wherever numba is installed
-    from numba import njit
-
-    _lasso_gram_cd = njit(cache=True)(_lasso_gram_cd)
-except ImportError:  # pragma: no cover
-    pass
 
 
 @dataclass
@@ -122,21 +120,23 @@ class SolverResult:
     converged: bool
 
 
-def _chol_logdet(matrix, err: str) -> float:
-    """log det of a PD matrix via Cholesky; raises SingularInputError if not PD."""
+def _cholesky(matrix, err: str) -> np.ndarray:
+    """Lower Cholesky factor of a PD matrix; raises SingularInputError if not PD."""
     try:
-        factor = np.linalg.cholesky(matrix)
+        return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         raise SingularInputError(err) from None
+
+
+def _chol_logdet(matrix, err: str) -> float:
+    """log det of a PD matrix via Cholesky; raises SingularInputError if not PD."""
+    factor = _cholesky(matrix, err)
     return 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
 def _pd_inverse(matrix, err: str) -> np.ndarray:
     """Inverse of a PD matrix via Cholesky; raises SingularInputError if not PD."""
-    try:
-        factor = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        raise SingularInputError(err) from None
+    factor = _cholesky(matrix, err)
     identity = np.eye(matrix.shape[0])
     return symmetrize(sla.cho_solve((factor, True), identity))
 
@@ -213,10 +213,19 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
         from the exact inverse of the returned K) is within ``kkt_tol``.
         When ``max_sweeps`` is exhausted the best iterate is returned with
         ``converged=False``.
+
+    Notes
+    -----
+    For lambda > 0 the problem splits exactly: the connected components of
+    the graph {(i, j) : i != j, |A_ij| > lambda} are the diagonal blocks of
+    the solution (Witten, Friedman & Simon 2011; Mazumder & Hastie 2012).
+    Each single-variable component has the closed form 1 / (A_ii + lambda),
+    or 1 / A_ii when the diagonal is not penalized; each larger component is
+    solved on its own. ``sweeps_used`` is the largest sweep count over the
+    components, and the KKT residual is always computed on the full matrix.
     """
     A = check_square_symmetric(A, "covariance matrix")
     _check_psd(A)
-    d = A.shape[0]
     lam = float(config.lam)
 
     if lam == 0.0:
@@ -238,17 +247,80 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
         raise SingularInputError(
             "off-diagonal-only penalty requires strictly positive variances"
         )
+    if init is not None:
+        init = check_square_symmetric(init, "warm start")
+        if init.shape != A.shape:
+            raise InvalidInputError("warm start dimension differs from covariance")
+        _cholesky(init, "warm start is not positive definite")
+
+    n_blocks, labels = connected_components(np.abs(A) > lam, directed=False)
+    if n_blocks == 1:
+        precision, resid, sweeps, converged = _glasso_block(A, config, init)
+    else:
+        precision = np.zeros_like(A)
+        sweeps = 0
+        shift = lam if config.penalize_diagonal else 0.0
+        for block in range(n_blocks):
+            idx = np.flatnonzero(labels == block)
+            if idx.size == 1:
+                i = idx[0]
+                precision[i, i] = 1.0 / (A[i, i] + shift)
+                continue
+            sub = np.ix_(idx, idx)
+            sub_init = None if init is None else init[sub]
+            precision[sub], _, block_sweeps, _ = _glasso_block(A[sub], config, sub_init)
+            sweeps = max(sweeps, block_sweeps)
+
+    inverse = _pd_inverse(precision, "solver produced a non-PD precision matrix")
+    if n_blocks > 1:
+        resid = _subgradient_residual(precision, inverse, A, lam, config.penalize_diagonal)
+        converged = resid <= config.kkt_tol
+    if not converged:
+        warnings.warn(
+            f"glasso did not converge in {config.max_sweeps} sweeps "
+            f"(kkt residual {resid:.3e})",
+            RuntimeWarning,
+        )
+    return SolverResult(
+        precision=precision,
+        covariance=inverse,
+        objective=objective_value(precision, A, config),
+        kkt_residual=resid,
+        sweeps_used=sweeps,
+        converged=converged,
+    )
+
+
+def _glasso_block(A, config: SolverConfig, init):
+    """Column-sweep block coordinate descent on one already validated block.
+
+    ``A`` is PSD with lambda > 0 (and a positive diagonal when the diagonal is
+    unpenalized); ``init`` is None or a PD warm start of the same shape.
+    Returns (precision, certified KKT residual, sweeps used, converged).
+    """
+    if init is not None:
+        try:
+            return _column_sweeps(A, config, init)
+        except SingularInputError:
+            # The working covariance of a warm start from a larger penalty can
+            # lie outside the box |W_ij - A_ij| <= lambda of this one, and a
+            # column update then has no PD solution. The cold start always
+            # has one, and the optimum is unique.
+            pass
+    return _column_sweeps(A, config, None)
+
+
+def _column_sweeps(A, config: SolverConfig, init):
+    d = A.shape[0]
+    lam = float(config.lam)
 
     # Fixed-point diagonal of W: A_ii + lambda when the diagonal is penalized
     # (sign(K_ii) = +1 for PD K), A_ii otherwise.
     if init is not None:
-        precision = check_square_symmetric(init, "warm start")
-        if precision.shape != A.shape:
-            raise InvalidInputError("warm start dimension differs from covariance")
-        W = _pd_inverse(precision, "warm start is not positive definite")
+        W = _pd_inverse(init, "warm start is not positive definite")
         target_diag = np.diag(A) + (lam if config.penalize_diagonal else 0.0)
         W[np.diag_indices(d)] = target_diag
-        precision = precision.copy()
+        precision = init.copy()
     else:
         if config.penalize_diagonal:
             W = A + lam * np.eye(d)
@@ -289,7 +361,12 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
             precision[rest, j] = k12
             precision[j, rest] = k12
 
-        inverse = _pd_inverse(precision, "iterate lost positive definiteness")
+        try:
+            inverse = _pd_inverse(precision, "iterate lost positive definiteness")
+        except SingularInputError:
+            # Columns updated one at a time need not give a PD precision iterate
+            # while W stays PD (Mazumder & Hastie 2012); sweep again.
+            continue
         resid = _subgradient_residual(precision, inverse, A, lam, config.penalize_diagonal)
         if resid <= config.kkt_tol:
             converged = True
@@ -304,18 +381,4 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
             inner_tol *= 0.01
             stalls = 0
 
-    if not converged:
-        warnings.warn(
-            f"glasso did not converge in {config.max_sweeps} sweeps "
-            f"(kkt residual {resid:.3e})",
-            RuntimeWarning,
-        )
-    inverse = _pd_inverse(precision, "solver produced a non-PD precision matrix")
-    return SolverResult(
-        precision=precision,
-        covariance=inverse,
-        objective=objective_value(precision, A, config),
-        kkt_residual=resid,
-        sweeps_used=sweeps,
-        converged=converged,
-    )
+    return precision, resid, sweeps, converged

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats
+from scipy import special
 
 from .core import EdgeSet, SelectionResult, _cov, as_data_matrix, check_square_symmetric, symmetrize
 from .errors import (
@@ -126,7 +126,7 @@ def unadjusted_pvalues(R, n: int, d: int | None = None) -> PValueMatrix:
         )
     z = np.zeros_like(r)
     z[~degenerate] = np.arctanh(r[~degenerate])
-    pvals = 2.0 * stats.norm.sf(np.sqrt(n - d - 1) * np.abs(z))
+    pvals = 2.0 * special.ndtr(-np.sqrt(n - d - 1) * np.abs(z))
     pvals[degenerate] = 0.0
     return PValueMatrix(d, np.minimum(pvals, 1.0))
 

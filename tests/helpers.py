@@ -59,6 +59,54 @@ def brute_force_objective_d2(A, lam, penalize_diagonal, grid_points=17, cycles=1
     return objective(k11, k12, k22)
 
 
+def lasso_gram_cd_reference(Q, b, lam, beta, max_passes, tol):
+    """Scalar coordinate descent for 0.5*beta'Q beta - b'beta + lam*||beta||_1.
+
+    Element-at-a-time reference for ``ggmselect.solver._lasso_gram_cd``:
+    the gradient is updated along column ``i`` one entry per step and the
+    residual is a scalar loop. Updates ``beta`` in place and returns
+    (passes, residual) under the same stopping rule.
+    """
+    m = beta.shape[0]
+    g = Q @ beta
+    resid = np.inf
+    for p in range(max_passes):
+        support_changed = False
+        for i in range(m):
+            old = beta[i]
+            qii = Q[i, i]
+            u = b[i] - (g[i] - qii * old)
+            if u > lam:
+                new = (u - lam) / qii
+            elif u < -lam:
+                new = (u + lam) / qii
+            else:
+                new = 0.0
+            if new != old:
+                delta = new - old
+                for k in range(m):
+                    g[k] += Q[k, i] * delta
+                beta[i] = new
+                if (old == 0.0) != (new == 0.0):
+                    support_changed = True
+        resid = 0.0
+        for i in range(m):
+            gi = g[i] - b[i]
+            if beta[i] == 0.0:
+                v = abs(gi) - lam
+                if v < 0.0:
+                    v = 0.0
+            elif beta[i] > 0.0:
+                v = abs(gi + lam)
+            else:
+                v = abs(gi - lam)
+            if v > resid:
+                resid = v
+        if resid <= tol and not support_changed:
+            return p + 1, resid
+    return max_passes, resid
+
+
 def random_covariance(rng, d, n=None):
     """Covariance of a random Gaussian sample; strictly PD when n > d."""
     n = n if n is not None else 10 * d
