@@ -31,7 +31,7 @@ from .metrics import (
     load_interaction_pairs,
     validated_edge_report,
 )
-from .robsel import RobselConfig, robsel_lambda
+from .robsel import BOOTSTRAP_CENTERINGS, RobselConfig, robsel_lambda
 from .simulation import (
     generate_precision,
     load_experiment_config,
@@ -41,7 +41,7 @@ from .simulation import (
     write_summary_csv,
 )
 from .solver import SolverConfig, glasso
-from .testing import testing_select
+from .testing import ADJUSTMENT_METHODS, testing_select
 from .tuning import cv_select, ebic_select, lambda_grid
 
 USAGE_ERROR = 2
@@ -74,14 +74,6 @@ def _write_edges_csv(path, edges: EdgeSet, names, precision=None) -> None:
             handle.write(f"{names[i]},{names[j]},{value}\n")
 
 
-def _write_data_csv(path, data: DataMatrix) -> None:
-    names = data.names()
-    with atomic_text_writer(path) as handle:
-        handle.write(",".join(names) + "\n")
-        for row in data.values:
-            handle.write(",".join(format_real(v) for v in row) + "\n")
-
-
 def _load_input(args) -> DataMatrix:
     data = load_data_csv(args.input)
     if getattr(args, "standardize", False):
@@ -98,25 +90,27 @@ def _solver_config(args, lam: float) -> SolverConfig:
     )
 
 
-def _print_fit_summary(result, edges) -> None:
+def _fit_and_write(args, data, lam, *preamble) -> None:
+    """Fit the graphical lasso at ``lam``; once it succeeds, print the
+    ``preamble`` lines and the fit summary and write the precision matrix and
+    the edge list."""
+    A = empirical_covariance(data, center=not args.no_center)
+    result = glasso(A, _solver_config(args, lam))
+    edges = edges_from_precision(result.precision, args.zero_tol)
+    for line in preamble:
+        print(line)
     print(f"objective = {format_real(result.objective)}")
     print(f"kkt_residual = {format_real(result.kkt_residual)}")
     print(f"sweeps_used = {result.sweeps_used}")
     print(f"converged = {str(result.converged).lower()}")
     print(f"edges = {len(edges)}")
+    names = data.names()
+    _write_matrix_csv(f"{args.output_prefix}.precision.csv", result.precision, names)
+    _write_edges_csv(f"{args.output_prefix}.edges.csv", edges, names, result.precision)
 
 
 def _cmd_fit(args) -> int:
-    data = _load_input(args)
-    A = empirical_covariance(data, center=not args.no_center)
-    result = glasso(A, _solver_config(args, args.lam))
-    edges = edges_from_precision(result.precision, args.zero_tol)
-    print(f"lambda = {format_real(args.lam)}")
-    _print_fit_summary(result, edges)
-    if args.output_prefix:
-        names = data.names()
-        _write_matrix_csv(f"{args.output_prefix}.precision.csv", result.precision, names)
-        _write_edges_csv(f"{args.output_prefix}.edges.csv", edges, names, result.precision)
+    _fit_and_write(args, _load_input(args), args.lam, f"lambda = {format_real(args.lam)}")
     return 0
 
 
@@ -133,25 +127,14 @@ def _cmd_robsel(args) -> int:
     )
     print(f"alpha = {format_real(args.alpha)}")
     print(f"lambda = {format_real(selection.lam)}")
-    if args.output_prefix:
-        with atomic_text_writer(f"{args.output_prefix}.lambda.csv") as handle:
-            handle.write("alpha,lambda,order_index,bootstrap\n")
-            handle.write(
-                f"{format_real(args.alpha)},{format_real(selection.lam)},"
-                f"{selection.order_index},{args.bootstrap}\n"
-            )
-        if not args.no_fit:
-            A = empirical_covariance(data, center=not args.no_center)
-            result = glasso(A, _solver_config(args, selection.lam))
-            edges = edges_from_precision(result.precision, args.zero_tol)
-            _print_fit_summary(result, edges)
-            names = data.names()
-            _write_matrix_csv(
-                f"{args.output_prefix}.precision.csv", result.precision, names
-            )
-            _write_edges_csv(
-                f"{args.output_prefix}.edges.csv", edges, names, result.precision
-            )
+    with atomic_text_writer(f"{args.output_prefix}.lambda.csv") as handle:
+        handle.write("alpha,lambda,order_index,bootstrap\n")
+        handle.write(
+            f"{format_real(args.alpha)},{format_real(selection.lam)},"
+            f"{selection.order_index},{args.bootstrap}\n"
+        )
+    if not args.no_fit:
+        _fit_and_write(args, data, selection.lam)
     return 0
 
 
@@ -163,13 +146,12 @@ def _cmd_test(args) -> int:
     print(f"alpha = {format_real(args.alpha)}")
     print(f"method = {args.method}")
     print(f"edges = {len(result.edges)}")
-    if args.output_prefix:
-        names = data.names()
-        pmatrix = result.diagnostics["pvalues"]
-        _write_matrix_csv(
-            f"{args.output_prefix}.pvalues.csv", pmatrix.as_matrix("adjusted"), names
-        )
-        _write_edges_csv(f"{args.output_prefix}.edges.csv", result.edges, names)
+    names = data.names()
+    pmatrix = result.diagnostics["pvalues"]
+    _write_matrix_csv(
+        f"{args.output_prefix}.pvalues.csv", pmatrix.as_matrix("adjusted"), names
+    )
+    _write_edges_csv(f"{args.output_prefix}.edges.csv", result.edges, names)
     return 0
 
 
@@ -199,14 +181,13 @@ def _cmd_tune(args) -> int:
         )
     print(f"method = {args.method}")
     print(f"chosen_lambda = {format_real(tuned.chosen_lambda)}")
-    if args.output_prefix:
-        with atomic_text_writer(f"{args.output_prefix}.scores.csv") as handle:
-            handle.write("lambda,score\n")
-            for lam, score in tuned.scores:
-                handle.write(f"{format_real(lam)},{format_real(score)}\n")
-        with atomic_text_writer(f"{args.output_prefix}.lambda.csv") as handle:
-            handle.write("method,chosen_lambda\n")
-            handle.write(f"{args.method},{format_real(tuned.chosen_lambda)}\n")
+    with atomic_text_writer(f"{args.output_prefix}.scores.csv") as handle:
+        handle.write("lambda,score\n")
+        for lam, score in tuned.scores:
+            handle.write(f"{format_real(lam)},{format_real(score)}\n")
+    with atomic_text_writer(f"{args.output_prefix}.lambda.csv") as handle:
+        handle.write("method,chosen_lambda\n")
+        handle.write(f"{args.method},{format_real(tuned.chosen_lambda)}\n")
     return 0
 
 
@@ -214,10 +195,9 @@ def _cmd_simulate(args) -> int:
     truth = generate_precision(args.d, args.edge_prob, args.seed)
     data = sample_gaussian(truth, args.n, args.seed)
     print(f"true_edges = {len(truth.edges)}")
-    if args.output_prefix:
-        names = data.names()
-        _write_matrix_csv(f"{args.output_prefix}.omega.csv", truth.omega, names)
-        _write_data_csv(f"{args.output_prefix}.data.csv", data)
+    names = data.names()
+    _write_matrix_csv(f"{args.output_prefix}.omega.csv", truth.omega, names)
+    _write_matrix_csv(f"{args.output_prefix}.data.csv", data.values, names)
     return 0
 
 
@@ -283,40 +263,35 @@ def _read_edge_list(path):
     return rows
 
 
-def _add_common_io(parser, needs_input=True):
-    if needs_input:
-        parser.add_argument("--input", "-i", required=True, help="observation CSV")
-        parser.add_argument(
-            "--standardize",
-            action="store_true",
-            help="scale each column to unit standard deviation before analysis",
-        )
-        parser.add_argument(
-            "--no-center",
-            action="store_true",
-            help="skip mean-centering in covariance computation",
-        )
-        parser.add_argument(
-            "--output-prefix",
-            "-o",
-            default=None,
-            help="prefix for output files (default: the input path without its extension)",
-        )
-    else:
-        parser.add_argument(
-            "--output-prefix", "-o", default=None, help="prefix for output files"
-        )
+def _add_common_io(parser):
+    parser.add_argument("--input", "-i", required=True, help="observation CSV")
+    parser.add_argument(
+        "--standardize",
+        action="store_true",
+        help="scale each column to unit standard deviation before analysis",
+    )
+    parser.add_argument(
+        "--no-center",
+        action="store_true",
+        help="skip mean-centering in covariance computation",
+    )
+    parser.add_argument(
+        "--output-prefix",
+        "-o",
+        default=None,
+        help="prefix for output files (default: the input path without its extension)",
+    )
 
 
 def _add_solver_options(parser):
     parser.add_argument(
         "--penalize-diagonal",
         action=argparse.BooleanOptionalAction,
-        default=True,
+        default=SolverConfig.penalize_diagonal,
         help="include the diagonal in the l1 penalty (default: on)",
     )
-    parser.add_argument("--kkt-tol", type=float, default=1e-6)
-    parser.add_argument("--max-sweeps", type=int, default=500)
+    parser.add_argument("--kkt-tol", type=float, default=SolverConfig.kkt_tol)
+    parser.add_argument("--max-sweeps", type=int, default=SolverConfig.max_sweeps)
     parser.add_argument(
         "--zero-tol",
         type=float,
@@ -352,12 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("robsel", help="bootstrap-select the penalty, then fit")
     _add_common_io(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--bootstrap", type=int, default=200, help="bootstrap replicates B")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--bootstrap", type=int, default=RobselConfig.B, help="bootstrap replicates B"
+    )
+    p.add_argument("--seed", type=int, default=RobselConfig.seed)
     p.add_argument(
         "--bootstrap-centering",
-        choices=("replicate", "original"),
-        default="replicate",
+        choices=BOOTSTRAP_CENTERINGS,
+        default=RobselConfig.bootstrap_centering,
         help="center each bootstrap covariance at the replicate mean or the "
         "full-sample mean",
     )
@@ -372,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="partial-correlation testing selection")
     _add_common_io(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument(
-        "--method", choices=("holm", "bonferroni", "sidak"), default="holm"
-    )
+    p.add_argument("--method", choices=ADJUSTMENT_METHODS, default="holm")
     p.set_defaults(handler=_cmd_test)
 
     p = sub.add_parser("tune", help="cross-validated or EBIC penalty selection")
@@ -433,15 +408,10 @@ def main(argv=None) -> int:
         args.output_prefix = stem if stem else f"{args.input}.out"
     try:
         return args.handler(args)
-    except InvalidInputError as exc:
+    except (GgmSelectError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except GgmSelectError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return FAILURE
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        runtime = isinstance(exc, GgmSelectError) and not isinstance(exc, InvalidInputError)
+        return FAILURE if runtime else USAGE_ERROR
 
 
 if __name__ == "__main__":

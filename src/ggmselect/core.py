@@ -6,6 +6,7 @@ import csv
 import math
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -290,3 +291,12 @@ def atomic_text_writer(path):
         handle.close()
         os.unlink(handle.name)
         raise
+
+
+def parallel_map(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, run on ``threads`` pool threads when
+    ``threads > 1``. Results keep the order of ``items`` either way."""
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))

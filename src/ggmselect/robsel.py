@@ -12,7 +12,6 @@ selects a larger penalty and a sparser graph.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,10 +23,14 @@ from .core import (
     as_data_matrix,
     check_square_symmetric,
     edges_from_precision,
+    parallel_map,
     symmetrize,
 )
 from .errors import InvalidInputError
 from .solver import SolverConfig, glasso
+
+#: Values of ``RobselConfig.bootstrap_centering``.
+BOOTSTRAP_CENTERINGS = ("replicate", "original")
 
 
 @dataclass
@@ -51,7 +54,7 @@ class RobselConfig:
             raise InvalidInputError(f"bootstrap count must be >= 1, got {self.B}")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
-        if self.bootstrap_centering not in ("replicate", "original"):
+        if self.bootstrap_centering not in BOOTSTRAP_CENTERINGS:
             raise InvalidInputError(
                 f"bootstrap_centering must be 'replicate' or 'original', "
                 f"got {self.bootstrap_centering!r}"
@@ -113,14 +116,9 @@ def bootstrap_rwp_samples(data, config: RobselConfig, center: bool = True, threa
     values = data.values
     A = _cov(values, center=center)
     mean_full = values.mean(axis=0)
-    replicates = range(1, config.B + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(
-                pool.map(lambda b: _bootstrap_rwp(values, A, mean_full, config, b), replicates)
-            )
-    else:
-        samples = [_bootstrap_rwp(values, A, mean_full, config, b) for b in replicates]
+    samples = parallel_map(
+        lambda b: _bootstrap_rwp(values, A, mean_full, config, b), range(1, config.B + 1), threads
+    )
     return np.sort(np.asarray(samples, dtype=float))
 
 

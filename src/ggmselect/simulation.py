@@ -10,11 +10,11 @@ resampled uniformly in [1, 1.5].
 
 from __future__ import annotations
 
+import inspect
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,17 +24,25 @@ from .core import (
     EdgeSet,
     _cov,
     edges_from_precision,
+    format_real,
+    parallel_map,
     symmetrize,
 )
 from .errors import GenerationError, InvalidInputError, NotApplicableError
 from .metrics import confusion, jaccard, metrics_from_confusion
 from .robsel import RobselConfig, bootstrap_rwp_samples, order_statistic_rank
 from .solver import SolverConfig, glasso
-from .testing import adjust_pvalues, partial_correlations, unadjusted_pvalues
+from .testing import (
+    ADJUSTMENT_METHODS,
+    adjust_pvalues,
+    partial_correlations,
+    unadjusted_pvalues,
+)
 from .tuning import cv_select, ebic_select, lambda_grid
 
-KNOWN_METHODS = ("robsel", "holm", "bonferroni", "sidak", "cv", "ebic")
-_TESTING_METHODS = ("holm", "bonferroni", "sidak")
+# Methods that choose their own penalty, so have no alpha.
+_TUNED_METHODS = ("cv", "ebic")
+KNOWN_METHODS = ("robsel", *ADJUSTMENT_METHODS, *_TUNED_METHODS)
 
 
 @dataclass
@@ -48,14 +56,17 @@ class GroundTruth:
 
 @dataclass
 class ExperimentPlan:
-    """The sweep definition: one fixed ground truth, many (n, replicate) cells."""
+    """The sweep definition: one fixed ground truth, many (n, replicate) cells.
 
-    d: int
-    edge_prob: float
-    sample_sizes: list[int]
-    replications: int
-    alphas: list[float]
-    B: int = 200
+    The defaults are the sweep a plan file without keys describes.
+    """
+
+    d: int = 50
+    edge_prob: float = 0.02
+    sample_sizes: list[int] = field(default_factory=lambda: [200, 800, 3200])
+    replications: int = 100
+    alphas: list[float] = field(default_factory=lambda: [0.05, 0.1])
+    B: int = RobselConfig.B
     seed: int = 0
 
     def __post_init__(self):
@@ -146,20 +157,24 @@ def sample_gaussian(truth: GroundTruth, n: int, seed: int) -> DataMatrix:
 
 @dataclass
 class ReplicateRecord:
-    """One row of the tidy experiment report."""
+    """One row of the tidy experiment report.
+
+    The fields after ``replicate`` are the metrics; None marks an undefined
+    cell, such as a method that failed or does not apply at this n.
+    """
 
     method: str
     n: int
     alpha: float | None
     replicate: int
-    fwer_indicator: int | None
-    tpr: float | None
-    fpr: float | None
-    mcc: float | None
-    jaccard_vs_truth: float | None
-    jaccard_robsel_holm: float | None
-    lam: float | None
-    runtime_seconds: float | None
+    fwer_indicator: int | None = None
+    tpr: float | None = None
+    fpr: float | None = None
+    mcc: float | None = None
+    jaccard_vs_truth: float | None = None
+    jaccard_robsel_holm: float | None = None
+    lam: float | None = None
+    runtime_seconds: float | None = None
 
 
 @dataclass
@@ -174,31 +189,14 @@ class CellSummary:
     standard_errors: dict = field(default_factory=dict)
 
 
-REPLICATE_COLUMNS = (
-    "method",
-    "n",
-    "alpha",
-    "replicate",
-    "fwer_indicator",
-    "tpr",
-    "fpr",
-    "mcc",
-    "jaccard_vs_truth",
-    "jaccard_robsel_holm",
-    "lambda",
-    "runtime_seconds",
-)
-
-_SUMMARY_METRICS = (
-    "fwer",
-    "tpr",
-    "fpr",
-    "mcc",
-    "jaccard_vs_truth",
-    "jaccard_robsel_holm",
-    "lambda",
-    "runtime_seconds",
-)
+_RECORD_FIELDS = tuple(f.name for f in fields(ReplicateRecord))
+REPLICATE_COLUMNS = tuple("lambda" if name == "lam" else name for name in _RECORD_FIELDS)
+# Summary column -> the metric field it averages. The metrics follow the
+# four fields that key a row; the mean of the FWER indicator is the "fwer".
+_SUMMARY_METRICS = {
+    "fwer" if name == "fwer_indicator" else column: name
+    for name, column in zip(_RECORD_FIELDS[4:], REPLICATE_COLUMNS[4:])
+}
 
 
 @dataclass
@@ -229,18 +227,8 @@ class ExperimentReport:
             cells.items(), key=lambda item: (item[0][0], item[0][1], _alpha_key(item[0][2]))
         ):
             summary = CellSummary(method=method, n=n, alpha=alpha, replicates=len(records))
-            pulls = {
-                "fwer": [r.fwer_indicator for r in records],
-                "tpr": [r.tpr for r in records],
-                "fpr": [r.fpr for r in records],
-                "mcc": [r.mcc for r in records],
-                "jaccard_vs_truth": [r.jaccard_vs_truth for r in records],
-                "jaccard_robsel_holm": [r.jaccard_robsel_holm for r in records],
-                "lambda": [r.lam for r in records],
-                "runtime_seconds": [r.runtime_seconds for r in records],
-            }
-            for key in _SUMMARY_METRICS:
-                mean, se = aggregate(pulls[key])
+            for key, name in _SUMMARY_METRICS.items():
+                mean, se = aggregate([getattr(r, name) for r in records])
                 summary.means[key] = mean
                 summary.standard_errors[key] = se
             out.append(summary)
@@ -255,36 +243,23 @@ def _child_seed(*keys) -> int:
     return int(np.random.SeedSequence(list(keys)).generate_state(1, dtype=np.uint64)[0])
 
 
-def _metric_fields(edges: EdgeSet, truth_edges: EdgeSet) -> dict:
-    record = metrics_from_confusion(confusion(edges, truth_edges))
-    return {
-        "fwer_indicator": record.fwer_indicator,
-        "tpr": record.tpr,
-        "fpr": record.fpr,
-        "mcc": record.mcc,
-        "jaccard_vs_truth": record.jaccard,
-    }
-
-
-def _empty_metrics() -> dict:
-    return {
-        "fwer_indicator": None,
-        "tpr": None,
-        "fpr": None,
-        "mcc": None,
-        "jaccard_vs_truth": None,
-    }
+def _cells(plan, methods) -> list:
+    """The (method, alpha) cells of one replicate, in report order."""
+    return [
+        (method, alpha)
+        for method in methods
+        for alpha in ([None] if method in _TUNED_METHODS else plan.alphas)
+    ]
 
 
 def _run_replicate(plan, methods, truth, n, replicate, options) -> list:
     """All method cells for one (n, replicate) pair; pure given its seeds."""
     data = sample_gaussian(truth, n, _child_seed(plan.seed, n, replicate, 1))
     A = _cov(data.values)
-    record_timings = options["record_timings"]
     solver = options["solver"]
     zero_tol = options["zero_tol"]
 
-    # (method, alpha) -> (edges or None, lambda or None, runtime or None)
+    # (method, alpha) -> (edges, lambda or None, runtime)
     outcomes: dict[tuple, tuple] = {}
 
     def fail(method, alpha, exc):
@@ -313,7 +288,7 @@ def _run_replicate(plan, methods, truth, n, replicate, options) -> list:
             runtime = bootstrap_time / len(plan.alphas) + time.perf_counter() - start
             outcomes[("robsel", alpha)] = (edges, lam, runtime)
 
-    requested_testing = [m for m in _TESTING_METHODS if m in methods]
+    requested_testing = [m for m in ADJUSTMENT_METHODS if m in methods]
     if requested_testing:
         start = time.perf_counter()
         try:
@@ -346,17 +321,18 @@ def _run_replicate(plan, methods, truth, n, replicate, options) -> list:
                     )
                     outcomes[(method, alpha)] = (edges, None, runtime)
 
-    if "cv" in methods or "ebic" in methods:
+    tuned_methods = [m for m in _TUNED_METHODS if m in methods]
+    if tuned_methods:
         try:
             grid = lambda_grid(A, options["grid_size"])
         except Exception as exc:
-            for method in ("cv", "ebic"):
-                if method in methods:
-                    fail(method, None, exc)
-            grid = None
-        if grid is not None and "cv" in methods:
-            start = time.perf_counter()
-            try:
+            for method in tuned_methods:
+                fail(method, None, exc)
+            tuned_methods = []
+    for method in tuned_methods:
+        start = time.perf_counter()
+        try:
+            if method == "cv":
                 tuned = cv_select(
                     data,
                     folds=options["folds"],
@@ -364,54 +340,41 @@ def _run_replicate(plan, methods, truth, n, replicate, options) -> list:
                     solver_config=solver,
                     seed=_child_seed(plan.seed, n, replicate, 3),
                 )
-                fit = glasso(A, replace(solver, lam=tuned.chosen_lambda))
-                edges = edges_from_precision(fit.precision, zero_tol)
-                outcomes[("cv", None)] = (
-                    edges,
-                    tuned.chosen_lambda,
-                    time.perf_counter() - start,
-                )
-            except Exception as exc:
-                fail("cv", None, exc)
-        if grid is not None and "ebic" in methods:
-            start = time.perf_counter()
-            try:
+            else:
                 tuned = ebic_select(
                     data, grid, gamma=options["gamma"], solver_config=solver, zero_tol=zero_tol
                 )
-                fit = glasso(A, replace(solver, lam=tuned.chosen_lambda))
-                edges = edges_from_precision(fit.precision, zero_tol)
-                outcomes[("ebic", None)] = (
-                    edges,
-                    tuned.chosen_lambda,
-                    time.perf_counter() - start,
-                )
-            except Exception as exc:
-                fail("ebic", None, exc)
+            fit = glasso(A, replace(solver, lam=tuned.chosen_lambda))
+            edges = edges_from_precision(fit.precision, zero_tol)
+        except Exception as exc:
+            fail(method, None, exc)
+            continue
+        outcomes[(method, None)] = (edges, tuned.chosen_lambda, time.perf_counter() - start)
 
     records = []
-    for method in methods:
-        cell_alphas = plan.alphas if method not in ("cv", "ebic") else [None]
-        for alpha in cell_alphas:
-            edges, lam, runtime = outcomes.get((method, alpha), (None, None, None))
-            fields = _metric_fields(edges, truth.edges) if edges is not None else _empty_metrics()
-            similarity = None
-            if method == "robsel" and edges is not None:
-                holm_edges = outcomes.get(("holm", alpha), (None, None, None))[0]
-                if holm_edges is not None:
-                    similarity = jaccard(edges, holm_edges)
-            records.append(
-                ReplicateRecord(
-                    method=method,
-                    n=n,
-                    alpha=alpha,
-                    replicate=replicate,
-                    jaccard_robsel_holm=similarity,
-                    lam=lam,
-                    runtime_seconds=runtime if record_timings else None,
-                    **fields,
-                )
+    for method, alpha in _cells(plan, methods):
+        if (method, alpha) not in outcomes:
+            records.append(ReplicateRecord(method, n, alpha, replicate))
+            continue
+        edges, lam, runtime = outcomes[(method, alpha)]
+        scores = metrics_from_confusion(confusion(edges, truth.edges))
+        holm = outcomes.get(("holm", alpha)) if method == "robsel" else None
+        records.append(
+            ReplicateRecord(
+                method,
+                n,
+                alpha,
+                replicate,
+                fwer_indicator=scores.fwer_indicator,
+                tpr=scores.tpr,
+                fpr=scores.fpr,
+                mcc=scores.mcc,
+                jaccard_vs_truth=scores.jaccard,
+                jaccard_robsel_holm=None if holm is None else jaccard(edges, holm[0]),
+                lam=lam,
+                runtime_seconds=runtime if options["record_timings"] else None,
             )
+        )
     return records
 
 
@@ -465,28 +428,14 @@ def run_experiment(
                 file=sys.stderr,
             )
             records = [
-                ReplicateRecord(
-                    method=method,
-                    n=n,
-                    alpha=alpha,
-                    replicate=replicate,
-                    jaccard_robsel_holm=None,
-                    lam=None,
-                    runtime_seconds=None,
-                    **_empty_metrics(),
-                )
-                for method in methods
-                for alpha in (plan.alphas if method not in ("cv", "ebic") else [None])
+                ReplicateRecord(method, n, alpha, replicate)
+                for method, alpha in _cells(plan, methods)
             ]
         if log is not None:
             log(f"cell n={n} replicate={replicate}: {len(records)} rows")
         return records
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_task, tasks))
-    else:
-        chunks = [one_task(task) for task in tasks]
+    chunks = parallel_map(one_task, tasks, threads)
 
     records = [record for chunk in chunks for record in chunk]
     records.sort(
@@ -495,50 +444,43 @@ def run_experiment(
     return ExperimentReport(plan=plan, methods=methods, records=records)
 
 
-def write_replicates_csv(report: ExperimentReport, path) -> None:
-    """Write the tidy replicate-level report; empty fields mark undefined cells."""
-    from .core import atomic_text_writer, format_real
+def _write_rows(path, header, rows) -> None:
+    """CSV with one line per row: None is the empty field, a real number gets
+    ``format_real``, and strings and integers print as they are."""
+    # Imported at call time, not bound at import, so that a wrapper put on
+    # core.atomic_text_writer (bench/tracing.py times output this way) also
+    # sees the sweep's reports.
+    from .core import atomic_text_writer
 
     with atomic_text_writer(path) as handle:
-        handle.write(",".join(REPLICATE_COLUMNS) + "\n")
-        for r in report.records:
-            fwer = "" if r.fwer_indicator is None else str(r.fwer_indicator)
+        handle.write(",".join(header) + "\n")
+        for row in rows:
             handle.write(
-                ",".join(
-                    (
-                        r.method,
-                        str(r.n),
-                        format_real(r.alpha),
-                        str(r.replicate),
-                        fwer,
-                        format_real(r.tpr),
-                        format_real(r.fpr),
-                        format_real(r.mcc),
-                        format_real(r.jaccard_vs_truth),
-                        format_real(r.jaccard_robsel_holm),
-                        format_real(r.lam),
-                        format_real(r.runtime_seconds),
-                    )
-                )
+                ",".join(str(v) if isinstance(v, (str, int)) else format_real(v) for v in row)
                 + "\n"
             )
 
 
+def write_replicates_csv(report: ExperimentReport, path) -> None:
+    """Write the tidy replicate-level report; empty fields mark undefined cells."""
+    rows = ([getattr(r, name) for name in _RECORD_FIELDS] for r in report.records)
+    _write_rows(path, REPLICATE_COLUMNS, rows)
+
+
 def write_summary_csv(report: ExperimentReport, path) -> None:
     """Write per-cell means and Monte-Carlo standard errors."""
-    from .core import atomic_text_writer, format_real
-
-    header = ["method", "n", "alpha", "replicates"]
-    for key in _SUMMARY_METRICS:
-        header.extend((key, f"{key}_se"))
-    with atomic_text_writer(path) as handle:
-        handle.write(",".join(header) + "\n")
-        for cell in report.summaries():
-            row = [cell.method, str(cell.n), format_real(cell.alpha), str(cell.replicates)]
-            for key in _SUMMARY_METRICS:
-                row.append(format_real(cell.means[key]))
-                row.append(format_real(cell.standard_errors[key]))
-            handle.write(",".join(row) + "\n")
+    key = [f.name for f in fields(CellSummary)[:4]]  # method, n, alpha, replicates
+    header = key + [name for metric in _SUMMARY_METRICS for name in (metric, f"{metric}_se")]
+    rows = (
+        [getattr(cell, name) for name in key]
+        + [
+            value
+            for metric in _SUMMARY_METRICS
+            for value in (cell.means[metric], cell.standard_errors[metric])
+        ]
+        for cell in report.summaries()
+    )
+    _write_rows(path, header, rows)
 
 
 _PLAN_SCHEMA = {
@@ -557,24 +499,6 @@ _PLAN_SCHEMA = {
     "folds": int,
     "gamma": float,
     "grid_size": int,
-}
-
-_PLAN_DEFAULTS = {
-    "d": 50,
-    "edge_prob": 0.02,
-    "sample_sizes": [200, 800, 3200],
-    "replications": 100,
-    "alphas": [0.05, 0.1],
-    "bootstrap": 200,
-    "seed": 0,
-    "methods": ["robsel", "holm"],
-    "penalize_diagonal": True,
-    "kkt_tol": 1e-6,
-    "max_sweeps": 500,
-    "zero_tol": DEFAULT_ZERO_TOL,
-    "folds": 5,
-    "gamma": 0.5,
-    "grid_size": 10,
 }
 
 
@@ -605,15 +529,18 @@ def _parse_plan_value(key, raw):
 def load_experiment_config(path):
     """Parse a 'key = value' experiment plan file.
 
-    Lines starting with '#' and blank lines are ignored; lists are
-    comma-separated. Returns (ExperimentPlan, methods, options) where
-    ``options`` holds the solver and tuning knobs for ``run_experiment``.
+    Text from a '#' to the end of its line is a comment, and blank lines are
+    ignored; lists are comma-separated. A key the file omits keeps the
+    default of what it sets: an ExperimentPlan field (``bootstrap`` sets
+    ``B``), a SolverConfig field, or a ``run_experiment`` keyword. Returns
+    (ExperimentPlan, methods, options) where ``options`` holds the solver and
+    tuning knobs for ``run_experiment``.
     """
-    settings = dict(_PLAN_DEFAULTS)
+    settings = {}
     with open(path, encoding="utf-8") as handle:
         for ln, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            stripped = line.partition("#")[0].strip()
+            if not stripped:
                 continue
             if "=" not in stripped:
                 raise InvalidInputError(f"{path}: line {ln} is not 'key = value'")
@@ -621,27 +548,16 @@ def load_experiment_config(path):
             key = key.strip()
             if key not in _PLAN_SCHEMA:
                 raise InvalidInputError(f"{path}: unknown key {key!r} on line {ln}")
-            settings[key] = _parse_plan_value(key, raw)
-    plan = ExperimentPlan(
-        d=settings["d"],
-        edge_prob=settings["edge_prob"],
-        sample_sizes=settings["sample_sizes"],
-        replications=settings["replications"],
-        alphas=settings["alphas"],
-        B=settings["bootstrap"],
-        seed=settings["seed"],
-    )
-    methods = tuple(settings["methods"])
-    options = {
-        "solver_config": SolverConfig(
-            lam=0.0,
-            penalize_diagonal=settings["penalize_diagonal"],
-            kkt_tol=settings["kkt_tol"],
-            max_sweeps=settings["max_sweeps"],
-        ),
-        "zero_tol": settings["zero_tol"],
-        "folds": settings["folds"],
-        "gamma": settings["gamma"],
-        "grid_size": settings["grid_size"],
-    }
+            settings["B" if key == "bootstrap" else key] = _parse_plan_value(key, raw)
+
+    def taken_by(cls):
+        names = {f.name for f in fields(cls)}
+        return {key: value for key, value in settings.items() if key in names}
+
+    plan = ExperimentPlan(**taken_by(ExperimentPlan))
+    keywords = inspect.signature(run_experiment).parameters
+    methods = tuple(settings.get("methods", keywords["methods"].default))
+    options = {"solver_config": SolverConfig(lam=0.0, **taken_by(SolverConfig))}
+    for key in ("zero_tol", "folds", "gamma", "grid_size"):
+        options[key] = settings.get(key, keywords[key].default)
     return plan, methods, options

@@ -18,7 +18,6 @@ support; this is the usual practical approximation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +29,7 @@ from .core import (
     check_square_symmetric,
     edges_from_precision,
     max_offdiag_abs,
+    parallel_map,
 )
 from .errors import InvalidInputError
 from .solver import SolverConfig, _chol_logdet, glasso
@@ -155,11 +155,7 @@ def cv_select(
             A_train, grid, base, lambda res: _validation_loss(res.precision, A_val)
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_fold = list(pool.map(one_fold, parts))
-    else:
-        per_fold = [one_fold(part) for part in parts]
+    per_fold = parallel_map(one_fold, parts, threads)
 
     mean_scores = np.mean(np.asarray(per_fold), axis=0)
     scores = [(float(lam), float(s)) for lam, s in zip(grid.values, mean_scores)]

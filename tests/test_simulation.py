@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,11 @@ def test_replicates_csv_round_trip(tmp_path):
     summary_path = tmp_path / "summary.csv"
     gs.write_summary_csv(report, summary_path)
     summary_lines = summary_path.read_text(encoding="utf-8").strip().splitlines()
+    assert summary_lines[0] == (
+        "method,n,alpha,replicates,fwer,fwer_se,tpr,tpr_se,fpr,fpr_se,mcc,mcc_se,"
+        "jaccard_vs_truth,jaccard_vs_truth_se,jaccard_robsel_holm,jaccard_robsel_holm_se,"
+        "lambda,lambda_se,runtime_seconds,runtime_seconds_se"
+    )
     assert len(summary_lines) == 1 + len(report.summaries())
 
 
@@ -209,6 +216,51 @@ def test_plan_config_parsing(tmp_path):
     assert methods == ("robsel", "holm")
     assert options["gamma"] == 0.25
     assert options["solver_config"].penalize_diagonal is False
+
+
+def test_plan_config_parses_readme_example(tmp_path):
+    # The plan shown under "Experiment plan files" in the README, verbatim,
+    # including its trailing comment after the method list.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Experiment plan files", 1)[1]
+    config = tmp_path / "plan.cfg"
+    config.write_text(section.split("```ini\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    plan, methods, options = gs.load_experiment_config(config)
+    assert plan == gs.ExperimentPlan(
+        d=50,
+        edge_prob=0.02,
+        sample_sizes=[200, 800, 3200],
+        replications=100,
+        alphas=[0.05, 0.1],
+        B=200,
+        seed=7,
+    )
+    assert methods == ("robsel", "holm")
+
+
+def test_plan_config_defaults(tmp_path):
+    config = tmp_path / "plan.cfg"
+    config.write_text("# nothing but comments\n\n   # d = 10\n", encoding="utf-8")
+    plan, methods, options = gs.load_experiment_config(config)
+    assert plan == gs.ExperimentPlan(
+        d=50,
+        edge_prob=0.02,
+        sample_sizes=[200, 800, 3200],
+        replications=100,
+        alphas=[0.05, 0.1],
+        B=200,
+        seed=0,
+    )
+    assert methods == ("robsel", "holm")
+    assert options == {
+        "solver_config": gs.SolverConfig(
+            lam=0.0, penalize_diagonal=True, kkt_tol=1e-6, max_sweeps=500
+        ),
+        "zero_tol": 1e-8,
+        "folds": 5,
+        "gamma": 0.5,
+        "grid_size": 10,
+    }
 
 
 def test_plan_config_rejects_unknown_key(tmp_path):
