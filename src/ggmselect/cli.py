@@ -410,8 +410,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (GgmSelectError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        runtime = isinstance(exc, GgmSelectError) and not isinstance(exc, InvalidInputError)
-        return FAILURE if runtime else USAGE_ERROR
+        return USAGE_ERROR if isinstance(exc, (InvalidInputError, OSError)) else FAILURE
 
 
 if __name__ == "__main__":
