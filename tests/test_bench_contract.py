@@ -40,8 +40,8 @@ def test_wrapped_names_are_called_through(tmp_path):
         encoding="utf-8",
     )
     tracer = tracing.Tracer()
-    tracer.install()
     try:
+        tracer.install()
         with tracer.op_span(0):
             assert cli.main(["robsel", "-i", str(data), "--alpha", "0.2", "--bootstrap",
                              "10", "--no-fit", "-o", str(tmp_path / "robsel")]) == 0
