@@ -13,17 +13,15 @@ import csv
 import os
 import sys
 
-import numpy as np
-
 from .core import (
     DEFAULT_ZERO_TOL,
     DataMatrix,
-    EdgeSet,
-    atomic_text_writer,
+    atomic_text_writer,  # kept bound: bench/tracing.py wraps cli.atomic_text_writer
     empirical_covariance,
     edges_from_precision,
     format_real,
     load_data_csv,
+    write_csv,
 )
 from .errors import GgmSelectError, InvalidInputError
 from .metrics import (
@@ -58,20 +56,7 @@ def _default_threads() -> int:
         return 1
 
 
-def _write_matrix_csv(path, matrix, names) -> None:
-    with atomic_text_writer(path) as handle:
-        handle.write(",".join(names) + "\n")
-        for row in np.asarray(matrix):
-            handle.write(",".join("" if np.isnan(v) else format_real(v) for v in row) + "\n")
-
-
-def _write_edges_csv(path, edges: EdgeSet, names, precision=None) -> None:
-    """Three-column edge list; the value column is empty for testing methods."""
-    with atomic_text_writer(path) as handle:
-        handle.write("node_i,node_j,precision_value\n")
-        for i, j in edges:
-            value = "" if precision is None else format_real(precision[i, j])
-            handle.write(f"{names[i]},{names[j]},{value}\n")
+_EDGE_COLUMNS = ("node_i", "node_j", "precision_value")
 
 
 def _load_input(args) -> DataMatrix:
@@ -105,8 +90,12 @@ def _fit_and_write(args, data, lam, *preamble) -> None:
     print(f"converged = {str(result.converged).lower()}")
     print(f"edges = {len(edges)}")
     names = data.names()
-    _write_matrix_csv(f"{args.output_prefix}.precision.csv", result.precision, names)
-    _write_edges_csv(f"{args.output_prefix}.edges.csv", edges, names, result.precision)
+    write_csv(f"{args.output_prefix}.precision.csv", names, result.precision)
+    write_csv(
+        f"{args.output_prefix}.edges.csv",
+        _EDGE_COLUMNS,
+        ((names[i], names[j], result.precision[i, j]) for i, j in edges),
+    )
 
 
 def _cmd_fit(args) -> int:
@@ -127,12 +116,11 @@ def _cmd_robsel(args) -> int:
     )
     print(f"alpha = {format_real(args.alpha)}")
     print(f"lambda = {format_real(selection.lam)}")
-    with atomic_text_writer(f"{args.output_prefix}.lambda.csv") as handle:
-        handle.write("alpha,lambda,order_index,bootstrap\n")
-        handle.write(
-            f"{format_real(args.alpha)},{format_real(selection.lam)},"
-            f"{selection.order_index},{args.bootstrap}\n"
-        )
+    write_csv(
+        f"{args.output_prefix}.lambda.csv",
+        ("alpha", "lambda", "order_index", "bootstrap"),
+        [(args.alpha, selection.lam, selection.order_index, args.bootstrap)],
+    )
     if not args.no_fit:
         _fit_and_write(args, data, selection.lam)
     return 0
@@ -148,10 +136,13 @@ def _cmd_test(args) -> int:
     print(f"edges = {len(result.edges)}")
     names = data.names()
     pmatrix = result.diagnostics["pvalues"]
-    _write_matrix_csv(
-        f"{args.output_prefix}.pvalues.csv", pmatrix.as_matrix("adjusted"), names
+    write_csv(f"{args.output_prefix}.pvalues.csv", names, pmatrix.as_matrix("adjusted"))
+    # Testing estimates no matrix, so the value column is empty.
+    write_csv(
+        f"{args.output_prefix}.edges.csv",
+        _EDGE_COLUMNS,
+        ((names[i], names[j], None) for i, j in result.edges),
     )
-    _write_edges_csv(f"{args.output_prefix}.edges.csv", result.edges, names)
     return 0
 
 
@@ -181,13 +172,12 @@ def _cmd_tune(args) -> int:
         )
     print(f"method = {args.method}")
     print(f"chosen_lambda = {format_real(tuned.chosen_lambda)}")
-    with atomic_text_writer(f"{args.output_prefix}.scores.csv") as handle:
-        handle.write("lambda,score\n")
-        for lam, score in tuned.scores:
-            handle.write(f"{format_real(lam)},{format_real(score)}\n")
-    with atomic_text_writer(f"{args.output_prefix}.lambda.csv") as handle:
-        handle.write("method,chosen_lambda\n")
-        handle.write(f"{args.method},{format_real(tuned.chosen_lambda)}\n")
+    write_csv(f"{args.output_prefix}.scores.csv", ("lambda", "score"), tuned.scores)
+    write_csv(
+        f"{args.output_prefix}.lambda.csv",
+        ("method", "chosen_lambda"),
+        [(args.method, tuned.chosen_lambda)],
+    )
     return 0
 
 
@@ -196,14 +186,15 @@ def _cmd_simulate(args) -> int:
     data = sample_gaussian(truth, args.n, args.seed)
     print(f"true_edges = {len(truth.edges)}")
     names = data.names()
-    _write_matrix_csv(f"{args.output_prefix}.omega.csv", truth.omega, names)
-    _write_matrix_csv(f"{args.output_prefix}.data.csv", data.values, names)
+    write_csv(f"{args.output_prefix}.omega.csv", names, truth.omega)
+    write_csv(f"{args.output_prefix}.data.csv", names, data.values)
     return 0
 
 
 def _cmd_experiment(args) -> int:
     plan, methods, options = load_experiment_config(args.config)
-    log = (lambda line: print(line, file=sys.stderr)) if args.verbose else None
+    # One write per line, so that lines from pool threads never interleave.
+    log = (lambda line: sys.stderr.write(line + "\n")) if args.verbose else None
     report = run_experiment(
         plan,
         methods=methods,
@@ -239,12 +230,11 @@ def _cmd_evaluate(args) -> int:
     print(f"validated_edges = {report.validated_edges}")
     print(f"proportion = {format_real(report.proportion)}")
     if args.output_prefix:
-        with atomic_text_writer(f"{args.output_prefix}.validation.csv") as handle:
-            handle.write("estimated_edges,validated_edges,proportion\n")
-            handle.write(
-                f"{report.estimated_edges},{report.validated_edges},"
-                f"{format_real(report.proportion)}\n"
-            )
+        write_csv(
+            f"{args.output_prefix}.validation.csv",
+            ("estimated_edges", "validated_edges", "proportion"),
+            [(report.estimated_edges, report.validated_edges, report.proportion)],
+        )
     return 0
 
 
@@ -255,7 +245,7 @@ def _read_edge_list(path):
         for r, row in enumerate(csv.reader(handle), start=1):
             if not row:
                 continue
-            if r == 1 and row[0] == "node_i":
+            if r == 1 and row[0] == _EDGE_COLUMNS[0]:
                 continue
             if len(row) < 2:
                 raise InvalidInputError(f"{path}: row {r} has fewer than 2 fields")

@@ -267,8 +267,9 @@ def load_data_csv(path) -> DataMatrix:
 
 
 def format_real(value) -> str:
-    """Render a real with 12 significant digits; None becomes the empty field."""
-    if value is None:
+    """Render a real with 12 significant digits; None and NaN, which mark an
+    undefined value, become the empty field."""
+    if value is None or math.isnan(value):
         return ""
     return format(float(value), ".12g")
 
@@ -291,6 +292,18 @@ def atomic_text_writer(path):
         handle.close()
         os.unlink(handle.name)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV file atomically, one line per row: strings and integers
+    print as they are, and every other value goes through ``format_real``."""
+    with atomic_text_writer(path) as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(
+                ",".join(str(v) if isinstance(v, (str, int)) else format_real(v) for v in row)
+                + "\n"
+            )
 
 
 def parallel_map(fn, items, threads: int) -> list:

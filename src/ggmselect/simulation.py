@@ -14,7 +14,7 @@ import inspect
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .core import (
     EdgeSet,
     _cov,
     edges_from_precision,
-    format_real,
     parallel_map,
     symmetrize,
+    write_csv,
 )
 from .errors import GenerationError, InvalidInputError, NotApplicableError
 from .metrics import confusion, jaccard, metrics_from_confusion
@@ -34,6 +34,7 @@ from .robsel import RobselConfig, bootstrap_rwp_samples, order_statistic_rank
 from .solver import SolverConfig, glasso
 from .testing import (
     ADJUSTMENT_METHODS,
+    _check_testable,
     adjust_pvalues,
     partial_correlations,
     unadjusted_pvalues,
@@ -262,11 +263,11 @@ def _run_replicate(plan, methods, truth, n, replicate, options) -> list:
     # (method, alpha) -> (edges, lambda or None, runtime)
     outcomes: dict[tuple, tuple] = {}
 
+    # One write per line, so that lines from pool threads never interleave.
     def fail(method, alpha, exc):
-        print(
+        sys.stderr.write(
             f"warning: {method} failed at (n={n}, r={replicate}"
-            f"{'' if alpha is None else f', alpha={alpha}'}): {exc}",
-            file=sys.stderr,
+            f"{'' if alpha is None else f', alpha={alpha}'}): {exc}\n"
         )
 
     if "robsel" in methods:
@@ -292,6 +293,7 @@ def _run_replicate(plan, methods, truth, n, replicate, options) -> list:
     if requested_testing:
         start = time.perf_counter()
         try:
+            _check_testable(data.n, data.d)
             R = partial_correlations(A)
             pvalues = unadjusted_pvalues(R, data.n, data.d)
         except NotApplicableError:
@@ -423,10 +425,7 @@ def run_experiment(
         try:
             records = _run_replicate(plan, methods, truth, n, replicate, options)
         except Exception as exc:  # record the failed cell, keep sweeping
-            print(
-                f"warning: replicate (n={n}, r={replicate}) failed: {exc}",
-                file=sys.stderr,
-            )
+            sys.stderr.write(f"warning: replicate (n={n}, r={replicate}) failed: {exc}\n")
             records = [
                 ReplicateRecord(method, n, alpha, replicate)
                 for method, alpha in _cells(plan, methods)
@@ -444,27 +443,10 @@ def run_experiment(
     return ExperimentReport(plan=plan, methods=methods, records=records)
 
 
-def _write_rows(path, header, rows) -> None:
-    """CSV with one line per row: None is the empty field, a real number gets
-    ``format_real``, and strings and integers print as they are."""
-    # Imported at call time, not bound at import, so that a wrapper put on
-    # core.atomic_text_writer (bench/tracing.py times output this way) also
-    # sees the sweep's reports.
-    from .core import atomic_text_writer
-
-    with atomic_text_writer(path) as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(
-                ",".join(str(v) if isinstance(v, (str, int)) else format_real(v) for v in row)
-                + "\n"
-            )
-
-
 def write_replicates_csv(report: ExperimentReport, path) -> None:
     """Write the tidy replicate-level report; empty fields mark undefined cells."""
     rows = ([getattr(r, name) for name in _RECORD_FIELDS] for r in report.records)
-    _write_rows(path, REPLICATE_COLUMNS, rows)
+    write_csv(path, REPLICATE_COLUMNS, rows)
 
 
 def write_summary_csv(report: ExperimentReport, path) -> None:
@@ -480,48 +462,37 @@ def write_summary_csv(report: ExperimentReport, path) -> None:
         ]
         for cell in report.summaries()
     )
-    _write_rows(path, header, rows)
+    write_csv(path, header, rows)
 
 
-_PLAN_SCHEMA = {
-    "d": int,
-    "edge_prob": float,
-    "sample_sizes": "int_list",
-    "replications": int,
-    "alphas": "float_list",
-    "bootstrap": int,
-    "seed": int,
-    "methods": "str_list",
-    "penalize_diagonal": "bool",
-    "kkt_tol": float,
-    "max_sweeps": int,
-    "zero_tol": float,
-    "folds": int,
-    "gamma": float,
-    "grid_size": int,
-}
+def _plan_defaults() -> dict:
+    """Plan-file key -> the default of the setting it overrides, which also
+    gives the type the key is parsed as."""
+    defaults = asdict(ExperimentPlan())
+    defaults["bootstrap"] = defaults.pop("B")
+    defaults.update(asdict(SolverConfig(lam=0.0)))
+    del defaults["lam"]
+    keywords = inspect.signature(run_experiment).parameters
+    for key in ("methods", "zero_tol", "folds", "gamma", "grid_size"):
+        defaults[key] = keywords[key].default
+    return defaults
 
 
-def _parse_plan_value(key, raw):
-    kind = _PLAN_SCHEMA[key]
+def _parse_plan_value(key, raw, default):
+    """``raw`` read as the type of ``default``; a list or tuple as a
+    comma-separated list of the type of its first item."""
     raw = raw.strip()
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "bool":
+        if isinstance(default, bool):
             if raw.lower() in ("true", "yes", "1"):
                 return True
             if raw.lower() in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        items = [tok.strip() for tok in raw.split(",") if tok.strip()]
-        if kind == "int_list":
-            return [int(tok) for tok in items]
-        if kind == "float_list":
-            return [float(tok) for tok in items]
-        return items
+        if isinstance(default, (list, tuple)):
+            kind = type(default[0])
+            return [kind(tok.strip()) for tok in raw.split(",") if tok.strip()]
+        return type(default)(raw)
     except ValueError:
         raise InvalidInputError(f"invalid value for {key!r}: {raw!r}") from None
 
@@ -536,7 +507,8 @@ def load_experiment_config(path):
     (ExperimentPlan, methods, options) where ``options`` holds the solver and
     tuning knobs for ``run_experiment``.
     """
-    settings = {}
+    defaults = _plan_defaults()
+    values = dict(defaults)
     with open(path, encoding="utf-8") as handle:
         for ln, line in enumerate(handle, start=1):
             stripped = line.partition("#")[0].strip()
@@ -546,18 +518,16 @@ def load_experiment_config(path):
                 raise InvalidInputError(f"{path}: line {ln} is not 'key = value'")
             key, _, raw = stripped.partition("=")
             key = key.strip()
-            if key not in _PLAN_SCHEMA:
+            if key not in defaults:
                 raise InvalidInputError(f"{path}: unknown key {key!r} on line {ln}")
-            settings["B" if key == "bootstrap" else key] = _parse_plan_value(key, raw)
+            values[key] = _parse_plan_value(key, raw, defaults[key])
+    values["B"] = values.pop("bootstrap")
 
-    def taken_by(cls):
-        names = {f.name for f in fields(cls)}
-        return {key: value for key, value in settings.items() if key in names}
+    def taken_by(names):
+        return {name: values[name] for name in names if name in values}
 
-    plan = ExperimentPlan(**taken_by(ExperimentPlan))
-    keywords = inspect.signature(run_experiment).parameters
-    methods = tuple(settings.get("methods", keywords["methods"].default))
-    options = {"solver_config": SolverConfig(lam=0.0, **taken_by(SolverConfig))}
-    for key in ("zero_tol", "folds", "gamma", "grid_size"):
-        options[key] = settings.get(key, keywords[key].default)
-    return plan, methods, options
+    plan = ExperimentPlan(**taken_by(f.name for f in fields(ExperimentPlan)))
+    solver = SolverConfig(lam=0.0, **taken_by(f.name for f in fields(SolverConfig)))
+    options = taken_by(inspect.signature(run_experiment).parameters)
+    methods = tuple(options.pop("methods"))
+    return plan, methods, {"solver_config": solver, **options}

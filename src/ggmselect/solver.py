@@ -210,8 +210,9 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
     -------
     SolverResult
         ``converged`` is True when the certified KKT residual (recomputed
-        from the exact inverse of the returned K) is within ``kkt_tol``.
-        When ``max_sweeps`` is exhausted the best iterate is returned with
+        from the exact inverse of the returned K) is within ``kkt_tol``;
+        every solve, lambda = 0 included, warns when it is not. When
+        ``max_sweeps`` is exhausted the best iterate is returned with
         ``converged=False``.
 
     Notes
@@ -228,37 +229,24 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
     _check_psd(A)
     lam = float(config.lam)
 
+    sweeps = 0
     if lam == 0.0:
         precision = _pd_inverse(
             A, "lambda = 0 requires a strictly positive definite covariance"
         )
-        inverse = _pd_inverse(precision, "precision matrix is not positive definite")
-        resid = _subgradient_residual(precision, inverse, A, 0.0, config.penalize_diagonal)
-        return SolverResult(
-            precision=precision,
-            covariance=inverse,
-            objective=objective_value(precision, A, config),
-            kkt_residual=resid,
-            sweeps_used=0,
-            converged=resid <= config.kkt_tol,
-        )
-
-    if not config.penalize_diagonal and float(np.diag(A).min()) <= 0.0:
-        raise SingularInputError(
-            "off-diagonal-only penalty requires strictly positive variances"
-        )
-    if init is not None:
-        init = check_square_symmetric(init, "warm start")
-        if init.shape != A.shape:
-            raise InvalidInputError("warm start dimension differs from covariance")
-        _cholesky(init, "warm start is not positive definite")
-
-    n_blocks, labels = connected_components(np.abs(A) > lam, directed=False)
-    if n_blocks == 1:
-        precision, resid, sweeps, converged = _glasso_block(A, config, init)
     else:
+        if not config.penalize_diagonal and float(np.diag(A).min()) <= 0.0:
+            raise SingularInputError(
+                "off-diagonal-only penalty requires strictly positive variances"
+            )
+        if init is not None:
+            init = check_square_symmetric(init, "warm start")
+            if init.shape != A.shape:
+                raise InvalidInputError("warm start dimension differs from covariance")
+            _cholesky(init, "warm start is not positive definite")
+
+        n_blocks, labels = connected_components(np.abs(A) > lam, directed=False)
         precision = np.zeros_like(A)
-        sweeps = 0
         shift = lam if config.penalize_diagonal else 0.0
         for block in range(n_blocks):
             idx = np.flatnonzero(labels == block)
@@ -268,13 +256,12 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
                 continue
             sub = np.ix_(idx, idx)
             sub_init = None if init is None else init[sub]
-            precision[sub], _, block_sweeps, _ = _glasso_block(A[sub], config, sub_init)
+            precision[sub], block_sweeps = _glasso_block(A[sub], config, sub_init)
             sweeps = max(sweeps, block_sweeps)
 
     inverse = _pd_inverse(precision, "solver produced a non-PD precision matrix")
-    if n_blocks > 1:
-        resid = _subgradient_residual(precision, inverse, A, lam, config.penalize_diagonal)
-        converged = resid <= config.kkt_tol
+    resid = _subgradient_residual(precision, inverse, A, lam, config.penalize_diagonal)
+    converged = resid <= config.kkt_tol
     if not converged:
         warnings.warn(
             f"glasso did not converge in {config.max_sweeps} sweeps "
@@ -296,7 +283,7 @@ def _glasso_block(A, config: SolverConfig, init):
 
     ``A`` is PSD with lambda > 0 (and a positive diagonal when the diagonal is
     unpenalized); ``init`` is None or a PD warm start of the same shape.
-    Returns (precision, certified KKT residual, sweeps used, converged).
+    Returns (precision, sweeps used); the caller certifies the result.
     """
     if init is not None:
         try:
@@ -333,18 +320,16 @@ def _column_sweeps(A, config: SolverConfig, init):
     inner_tol = 0.1 * config.kkt_tol
     inner_max = 1000
     indices = np.arange(d)
-    resid = np.inf
     best_resid = np.inf
     stalls = 0
-    converged = False
     sweeps = 0
 
     for sweeps in range(1, config.max_sweeps + 1):
         for j in range(d):
             rest = indices != j
-            Q = np.ascontiguousarray(W[np.ix_(rest, rest)])
-            b = np.ascontiguousarray(A[rest, j])
-            beta = np.ascontiguousarray(-precision[rest, j] / precision[j, j])
+            Q = W[np.ix_(rest, rest)]
+            b = A[rest, j]
+            beta = -precision[rest, j] / precision[j, j]
             _lasso_gram_cd(Q, b, lam, beta, inner_max, inner_tol)
             w12 = Q @ beta
             W[rest, j] = w12
@@ -369,7 +354,6 @@ def _column_sweeps(A, config: SolverConfig, init):
             continue
         resid = _subgradient_residual(precision, inverse, A, lam, config.penalize_diagonal)
         if resid <= config.kkt_tol:
-            converged = True
             break
         # Tighten the subproblem tolerance if the certified residual stalls.
         if resid >= 0.999 * best_resid:
@@ -381,4 +365,4 @@ def _column_sweeps(A, config: SolverConfig, init):
             inner_tol *= 0.01
             stalls = 0
 
-    return precision, resid, sweeps, converged
+    return precision, sweeps

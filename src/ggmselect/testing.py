@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import special
 
 from .core import EdgeSet, SelectionResult, _cov, as_data_matrix, check_square_symmetric, symmetrize
@@ -25,10 +24,8 @@ from .errors import (
     DegenerateCorrelationWarning,
     InvalidInputError,
     NotApplicableError,
-    SingularInputError,
 )
-
-ADJUSTMENT_METHODS = ("holm", "bonferroni", "sidak")
+from .solver import _pd_inverse
 
 
 @dataclass
@@ -84,17 +81,19 @@ def partial_correlations(A) -> np.ndarray:
     returns R with R_ij = -O_ij / sqrt(O_ii * O_jj) and unit diagonal.
     """
     A = check_square_symmetric(A, "covariance matrix")
-    try:
-        factor = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        raise SingularInputError(
-            "covariance matrix is singular or not positive definite"
-        ) from None
-    omega = symmetrize(sla.cho_solve((factor, True), np.eye(A.shape[0])))
+    omega = _pd_inverse(A, "covariance matrix is singular or not positive definite")
     scale = np.sqrt(np.diag(omega))
     R = -omega / np.outer(scale, scale)
     np.fill_diagonal(R, 1.0)
     return symmetrize(R)
+
+
+def _check_testable(n: int, d: int) -> None:
+    """Raise NotApplicableError unless n > d + 1, where sqrt(n - d - 1) is defined."""
+    if n <= d + 1:
+        raise NotApplicableError(
+            f"partial-correlation testing requires n > d + 1 (n={n}, d={d})"
+        )
 
 
 def unadjusted_pvalues(R, n: int, d: int | None = None) -> PValueMatrix:
@@ -109,10 +108,7 @@ def unadjusted_pvalues(R, n: int, d: int | None = None) -> PValueMatrix:
         d = R.shape[0]
     elif d != R.shape[0]:
         raise InvalidInputError(f"d={d} does not match matrix dimension {R.shape[0]}")
-    if n <= d + 1:
-        raise NotApplicableError(
-            f"partial-correlation testing requires n > d + 1 (n={n}, d={d})"
-        )
+    _check_testable(n, d)
     rows, cols = np.triu_indices(d, k=1)
     r = R[rows, cols]
     if np.any(np.abs(r) > 1.0 + 1e-12):
@@ -178,6 +174,7 @@ _ADJUSTERS = {
     "bonferroni": bonferroni_adjust,
     "sidak": sidak_adjust,
 }
+ADJUSTMENT_METHODS = tuple(_ADJUSTERS)
 
 
 def adjust_pvalues(pvals, method: str = "holm") -> np.ndarray:
@@ -200,10 +197,7 @@ def testing_select(data, alpha: float, method: str = "holm", center: bool = True
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
     data = as_data_matrix(data)
     n, d = data.n, data.d
-    if n <= d + 1:
-        raise NotApplicableError(
-            f"partial-correlation testing requires n > d + 1 (n={n}, d={d})"
-        )
+    _check_testable(n, d)
     A = _cov(data.values, center=center)
     R = partial_correlations(A)
     pmatrix = unadjusted_pvalues(R, n, d)

@@ -57,6 +57,9 @@ def test_wrapped_names_are_called_through(tmp_path):
     # cli -> robsel.robsel_lambda -> robsel.bootstrap_rwp_samples
     (boot,) = spans(0, "robsel.bootstrap_rwp_samples")
     assert tracer.spans[boot.parent].name == "robsel.robsel_lambda"
+    # The CLI writes its lambda.csv through core.write_csv, which looks up
+    # core.atomic_text_writer when called, so the write is timed once.
+    assert len(spans(0, "core.atomic_text_writer")) == 1
     # The sweep samples and bootstraps each (n, replicate) cell through the
     # names simulation binds, and writes its two reports through
     # core.atomic_text_writer as looked up at call time.

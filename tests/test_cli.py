@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ggmselect as gs
+from ggmselect import simulation
 from ggmselect.cli import main
 
 from helpers import subprocess_env
@@ -171,6 +172,50 @@ def test_experiment_threads_do_not_change_output(tmp_path):
     assert (tmp_path / "one.summary.csv").read_bytes() == (
         tmp_path / "two.summary.csv"
     ).read_bytes()
+
+
+class _WriteRecorder:
+    """A stand-in for sys.stderr that keeps every write call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_threaded_sweep_writes_whole_stderr_lines(tmp_path, monkeypatch):
+    # Pool threads share stderr, so each line must reach it in one write.
+    def broken_glasso(*args, **kwargs):
+        raise gs.SingularInputError("broken solve")
+
+    def sample_gaussian(truth, n, seed):
+        if n == 30:
+            raise gs.GenerationError("broken sample")
+        return gs.sample_gaussian(truth, n, seed)
+
+    monkeypatch.setattr(simulation, "glasso", broken_glasso)
+    monkeypatch.setattr(simulation, "sample_gaussian", sample_gaussian)
+    recorder = _WriteRecorder()
+    monkeypatch.setattr(sys, "stderr", recorder)
+    config = tmp_path / "plan.cfg"
+    config.write_text(
+        "d = 6\nedge_prob = 0.3\nsample_sizes = 30, 40\nreplications = 2\n"
+        "alphas = 0.2\nbootstrap = 10\nmethods = robsel, holm\n",
+        encoding="utf-8",
+    )
+    args = ["--threads", "2", "experiment", "--config", config, "-o", tmp_path / "s", "--verbose"]
+    assert run_cli(args) == 0
+    monkeypatch.undo()
+    assert all(call.endswith("\n") and call.count("\n") == 1 for call in recorder.calls)
+    text = "".join(recorder.calls)
+    assert "warning: robsel failed at (n=40" in text
+    assert "warning: replicate (n=30, r=1) failed" in text
+    assert "cell n=40 replicate=2: 2 rows" in text
 
 
 def test_evaluate_permissive_universe(tmp_path, capsys):

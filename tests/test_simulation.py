@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,19 @@ def test_experiment_holm_not_applicable_cells():
     robsel_small = [r for r in report.records if r.method == "robsel" and r.n == 8]
     assert all(r.fwer_indicator is not None for r in robsel_small)
     assert all(r.jaccard_robsel_holm is None for r in robsel_small)
+
+
+def test_experiment_testing_cells_at_small_n_are_silent(capsys):
+    # At n = 8 = d the covariance is singular; the n > d + 1 rule must mark
+    # the testing cells not applicable before partial correlations are tried.
+    plan = gs.ExperimentPlan(d=8, edge_prob=0.2, sample_sizes=[8, 9], replications=3, B=20)
+    report = gs.run_experiment(plan, methods=("robsel", "holm", "bonferroni"))
+    assert "warning:" not in capsys.readouterr().err
+    testing = [r for r in report.records if r.method in ("holm", "bonferroni")]
+    assert {r.n for r in testing} == {8, 9} and len(testing) == 2 * 2 * 3 * 2
+    assert all(r.fwer_indicator is None and r.tpr is None for r in testing)
+    robsel = [r for r in report.records if r.method == "robsel"]
+    assert all(r.fwer_indicator is not None for r in robsel)
 
 
 def test_experiment_schedule_independent():
@@ -265,16 +279,28 @@ def test_plan_config_defaults(tmp_path):
 
 def test_plan_config_rejects_unknown_key(tmp_path):
     config = tmp_path / "plan.cfg"
-    config.write_text("d = 5\nmystery = 1\n", encoding="utf-8")
-    with pytest.raises(InvalidInputError, match="unknown key"):
-        gs.load_experiment_config(config)
+    # "B" is the ExperimentPlan field; the plan key that sets it is "bootstrap".
+    for key in ("mystery", "B"):
+        config.write_text(f"d = 5\n{key} = 1\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError, match=f"unknown key '{key}' on line 2"):
+            gs.load_experiment_config(config)
 
 
 def test_plan_config_rejects_bad_value(tmp_path):
     config = tmp_path / "plan.cfg"
-    config.write_text("d = five\n", encoding="utf-8")
-    with pytest.raises(InvalidInputError, match="invalid value"):
-        gs.load_experiment_config(config)
+    # Each key is parsed as the type of its default: bool, int, float or a list.
+    for line in (
+        "d = five",
+        "d = 2.5",
+        "penalize_diagonal = maybe",
+        "sample_sizes = 10, x",
+        "alphas = 0.1, y",
+    ):
+        config.write_text(line + "\n", encoding="utf-8")
+        key, _, raw = (part.strip() for part in line.partition("="))
+        message = re.escape(f"invalid value for {key!r}: {raw!r}")
+        with pytest.raises(InvalidInputError, match=message):
+            gs.load_experiment_config(config)
 
 
 def test_plan_validation():

@@ -224,6 +224,19 @@ def test_max_sweeps_exhaustion_reports_not_converged():
     assert result.sweeps_used == 1
 
 
+def test_zero_penalty_failing_certificate_warns_once():
+    A = random_covariance(np.random.default_rng(30), 5)
+    config = gs.SolverConfig(lam=0.0, kkt_tol=1e-300)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = gs.glasso(A, config)
+    messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(messages) == 1 and "did not converge" in messages[0]
+    assert not result.converged
+    assert result.kkt_residual > config.kkt_tol
+    assert result.sweeps_used == 0
+
+
 def _assert_kernel_matches_reference(Q, b, lam, beta, max_passes, tol=1e-9):
     expected_beta, beta = beta.copy(), beta.copy()
     expected = lasso_gram_cd_reference(Q, b, lam, expected_beta, max_passes, tol)
@@ -284,8 +297,8 @@ def test_screened_solve_agrees_with_unscreened_block_solve(
     A, lam = _random_psd_problem(seed, d, n, fraction)
     config = gs.SolverConfig(lam=lam, penalize_diagonal=penalize_diagonal)
     screened = gs.glasso(A, config)
-    unscreened, _, _, converged = _glasso_block(A, config, None)
-    assert screened.converged and converged
+    unscreened, _ = _glasso_block(A, config, None)
+    assert screened.converged
     assert np.array_equal(_support(screened.precision), _support(unscreened))
     assert screened.kkt_residual == gs.kkt_residual(screened.precision, A, config)
     assert screened.kkt_residual <= config.kkt_tol
