@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 
 from .core import (
     DEFAULT_ZERO_TOL,
@@ -386,6 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    # The sweep's one-line form, in one write so that pool threads never
+    # interleave, and without the source path and line of the default format.
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -396,11 +403,13 @@ def main(argv=None) -> int:
     if getattr(args, "output_prefix", None) is None and hasattr(args, "input"):
         stem = os.path.splitext(str(args.input))[0]
         args.output_prefix = stem if stem else f"{args.input}.out"
-    try:
-        return args.handler(args)
-    except (GgmSelectError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return USAGE_ERROR if isinstance(exc, (InvalidInputError, OSError)) else FAILURE
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.handler(args)
+        except (GgmSelectError, OSError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return USAGE_ERROR if isinstance(exc, (InvalidInputError, OSError)) else FAILURE
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .core import (
     check_square_symmetric,
     edges_from_precision,
     parallel_map,
-    symmetrize,
 )
 from .errors import InvalidInputError
 from .solver import SolverConfig, glasso
@@ -39,7 +38,9 @@ class RobselConfig:
 
     ``bootstrap_centering`` chooses whether each bootstrap covariance is
     centered at the replicate's own mean ("replicate", the default) or at the
-    mean of the original sample ("original").
+    mean of the original sample ("original"). It applies only when the
+    covariances are centered: with ``center=False`` every bootstrap replicate
+    is the raw second moment of its resample, like A itself.
     """
 
     alpha: float
@@ -94,30 +95,33 @@ def order_statistic_rank(B: int, alpha: float) -> int:
     return min(max(int(rank), 1), B)
 
 
-def _bootstrap_rwp(values, A, mean_full, config: RobselConfig, b: int) -> float:
-    rng = np.random.default_rng((config.seed, b))
+def _bootstrap_rwp(values, A, center: bool, seed: int, b: int) -> float:
+    rng = np.random.default_rng((seed, b))
     n = values.shape[0]
     sample = values[rng.integers(0, n, size=n)]
-    if config.bootstrap_centering == "replicate":
-        boot_cov = _cov(sample, center=True)
-    else:
-        centered = sample - mean_full
-        boot_cov = symmetrize(centered.T @ centered / n)
-    return float(np.abs(boot_cov - A).max())
+    return float(np.abs(_cov(sample, center=center) - A).max())
 
 
 def bootstrap_rwp_samples(data, config: RobselConfig, center: bool = True, threads: int = 1) -> np.ndarray:
     """Sorted (ascending) bootstrap profile values R*_1..R*_B.
 
-    Replicate b depends only on (config.seed, b), so parallel and serial
-    execution produce bit-identical results.
+    Each replicate is formed as A is: with ``center=False`` it is the raw
+    second moment of its resample, and ``config.bootstrap_centering`` applies
+    only when centering. Replicate b depends only on (config.seed, b), so
+    parallel and serial execution produce bit-identical results.
     """
     data = as_data_matrix(data)
     values = data.values
     A = _cov(values, center=center)
-    mean_full = values.mean(axis=0)
+    # "original" centers once, at the full-sample mean; "replicate" centers
+    # each resample at its own mean.
+    if center and config.bootstrap_centering == "original":
+        values = values - values.mean(axis=0)
+    center_replicates = center and config.bootstrap_centering == "replicate"
     samples = parallel_map(
-        lambda b: _bootstrap_rwp(values, A, mean_full, config, b), range(1, config.B + 1), threads
+        lambda b: _bootstrap_rwp(values, A, center_replicates, config.seed, b),
+        range(1, config.B + 1),
+        threads,
     )
     return np.sort(np.asarray(samples, dtype=float))
 

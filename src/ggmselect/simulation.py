@@ -253,15 +253,49 @@ def _cells(plan, methods) -> list:
     ]
 
 
+def _select(method, data, A, plan, options, keys) -> list:
+    """(alpha, lambda, edges or None) for each cell of ``method`` on one
+    sample; a cell without edges is fitted by the caller at its lambda."""
+    if method == "robsel":
+        config = RobselConfig(alpha=plan.alphas[0], B=plan.B, seed=_child_seed(*keys, 2))
+        samples = bootstrap_rwp_samples(data, config)
+        return [
+            (alpha, float(samples[order_statistic_rank(plan.B, alpha) - 1]), None)
+            for alpha in plan.alphas
+        ]
+    if method in ADJUSTMENT_METHODS:
+        # Checked before the inversion, which is singular at n <= d.
+        _check_testable(data.n, data.d)
+        pvalues = unadjusted_pvalues(partial_correlations(A), data.n, data.d)
+        adjusted = adjust_pvalues(pvalues.unadjusted, method)
+        pairs = pvalues.pairs()
+
+        def rejected(alpha):
+            return EdgeSet(data.d, frozenset(pairs[k] for k in np.flatnonzero(adjusted <= alpha)))
+
+        return [(alpha, None, rejected(alpha)) for alpha in plan.alphas]
+    grid = lambda_grid(A, options["grid_size"])
+    solver = options["solver"]
+    if method == "cv":
+        tuned = cv_select(
+            data,
+            folds=options["folds"],
+            grid=grid,
+            solver_config=solver,
+            seed=_child_seed(*keys, 3),
+        )
+    else:
+        tuned = ebic_select(
+            data, grid, gamma=options["gamma"], solver_config=solver, zero_tol=options["zero_tol"]
+        )
+    return [(None, tuned.chosen_lambda, None)]
+
+
 def _run_replicate(plan, methods, truth, n, replicate, options) -> list:
     """All method cells for one (n, replicate) pair; pure given its seeds."""
-    data = sample_gaussian(truth, n, _child_seed(plan.seed, n, replicate, 1))
+    keys = (plan.seed, n, replicate)
+    data = sample_gaussian(truth, n, _child_seed(*keys, 1))
     A = _cov(data.values)
-    solver = options["solver"]
-    zero_tol = options["zero_tol"]
-
-    # (method, alpha) -> (edges, lambda or None, runtime)
-    outcomes: dict[tuple, tuple] = {}
 
     # One write per line, so that lines from pool threads never interleave.
     def fail(method, alpha, exc):
@@ -270,88 +304,28 @@ def _run_replicate(plan, methods, truth, n, replicate, options) -> list:
             f"{'' if alpha is None else f', alpha={alpha}'}): {exc}\n"
         )
 
-    if "robsel" in methods:
-        start = time.perf_counter()
-        config = RobselConfig(
-            alpha=plan.alphas[0], B=plan.B, seed=_child_seed(plan.seed, n, replicate, 2)
-        )
-        samples = bootstrap_rwp_samples(data, config)
-        bootstrap_time = time.perf_counter() - start
-        for alpha in plan.alphas:
-            start = time.perf_counter()
-            lam = float(samples[order_statistic_rank(plan.B, alpha) - 1])
-            try:
-                fit = glasso(A, replace(solver, lam=lam))
-                edges = edges_from_precision(fit.precision, zero_tol)
-            except Exception as exc:
-                fail("robsel", alpha, exc)
-                continue
-            runtime = bootstrap_time / len(plan.alphas) + time.perf_counter() - start
-            outcomes[("robsel", alpha)] = (edges, lam, runtime)
-
-    requested_testing = [m for m in ADJUSTMENT_METHODS if m in methods]
-    if requested_testing:
+    # (method, alpha) -> (edges, lambda or None, runtime)
+    outcomes: dict[tuple, tuple] = {}
+    for method in [m for m in KNOWN_METHODS if m in methods]:
         start = time.perf_counter()
         try:
-            _check_testable(data.n, data.d)
-            R = partial_correlations(A)
-            pvalues = unadjusted_pvalues(R, data.n, data.d)
+            cells = _select(method, data, A, plan, options, keys)
         except NotApplicableError:
-            pvalues = None  # emitted as not-applicable cells
-        except Exception as exc:
-            for method in requested_testing:
-                fail(method, None, exc)
-            pvalues = None
-        if pvalues is not None:
-            pairs = pvalues.pairs()
-            shared_time = time.perf_counter() - start
-            for method in requested_testing:
-                start = time.perf_counter()
-                adjusted = adjust_pvalues(pvalues.unadjusted, method)
-                method_time = time.perf_counter() - start
-                for alpha in plan.alphas:
-                    start = time.perf_counter()
-                    edges = EdgeSet(
-                        data.d,
-                        frozenset(pairs[k] for k in np.flatnonzero(adjusted <= alpha)),
-                    )
-                    runtime = (
-                        (shared_time / len(requested_testing) + method_time)
-                        / len(plan.alphas)
-                        + time.perf_counter()
-                        - start
-                    )
-                    outcomes[(method, alpha)] = (edges, None, runtime)
-
-    tuned_methods = [m for m in _TUNED_METHODS if m in methods]
-    if tuned_methods:
-        try:
-            grid = lambda_grid(A, options["grid_size"])
-        except Exception as exc:
-            for method in tuned_methods:
-                fail(method, None, exc)
-            tuned_methods = []
-    for method in tuned_methods:
-        start = time.perf_counter()
-        try:
-            if method == "cv":
-                tuned = cv_select(
-                    data,
-                    folds=options["folds"],
-                    grid=grid,
-                    solver_config=solver,
-                    seed=_child_seed(plan.seed, n, replicate, 3),
-                )
-            else:
-                tuned = ebic_select(
-                    data, grid, gamma=options["gamma"], solver_config=solver, zero_tol=zero_tol
-                )
-            fit = glasso(A, replace(solver, lam=tuned.chosen_lambda))
-            edges = edges_from_precision(fit.precision, zero_tol)
+            continue  # emitted as not-applicable cells
         except Exception as exc:
             fail(method, None, exc)
             continue
-        outcomes[(method, None)] = (edges, tuned.chosen_lambda, time.perf_counter() - start)
+        select_share = (time.perf_counter() - start) / len(cells)
+        for alpha, lam, edges in cells:
+            start = time.perf_counter()
+            if edges is None:
+                try:
+                    fit = glasso(A, replace(options["solver"], lam=lam))
+                    edges = edges_from_precision(fit.precision, options["zero_tol"])
+                except Exception as exc:
+                    fail(method, alpha, exc)
+                    continue
+            outcomes[(method, alpha)] = (edges, lam, select_share + time.perf_counter() - start)
 
     records = []
     for method, alpha in _cells(plan, methods):
@@ -395,9 +369,9 @@ def run_experiment(
     """Run the replicated sweep and collect the tidy report.
 
     Per-replicate RNG streams are keyed by (seed, n, replicate), so the
-    report does not depend on the parallel schedule. Failures inside a
-    single replicate are recorded as not-applicable cells and never abort
-    the sweep.
+    report does not depend on the parallel schedule. A failure is recorded
+    as not-applicable cells, only those of the method (or, for a fit, the
+    alpha) it happened in, and never aborts the sweep.
     """
     methods = tuple(methods)
     for method in methods:

@@ -264,7 +264,7 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
     converged = resid <= config.kkt_tol
     if not converged:
         warnings.warn(
-            f"glasso did not converge in {config.max_sweeps} sweeps "
+            f"glasso did not converge in {sweeps} sweeps "
             f"(kkt residual {resid:.3e})",
             RuntimeWarning,
         )

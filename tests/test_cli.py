@@ -218,6 +218,26 @@ def test_threaded_sweep_writes_whole_stderr_lines(tmp_path, monkeypatch):
     assert "cell n=40 replicate=2: 2 rows" in text
 
 
+def test_warnings_reach_stderr_as_one_line_each(tmp_path, sample_csv, monkeypatch):
+    recorder = _WriteRecorder()
+    monkeypatch.setattr(sys, "stderr", recorder)
+    fit = ["fit", "-i", sample_csv, "--lambda", "0", "--kkt-tol", "1e-300", "-o", tmp_path / "f"]
+    assert run_cli(fit) == 0
+    (line,) = recorder.calls
+    assert line.startswith("warning: glasso did not converge in 0 sweeps (")
+    # Warnings raised on pool threads take the same form.
+    recorder.calls.clear()
+    tune = ["--threads", "2", "tune", "-i", sample_csv, "--method", "cv", "--folds", "3",
+            "--grid-size", "3", "--max-sweeps", "1", "--kkt-tol", "1e-300", "-o", tmp_path / "t"]
+    assert run_cli(tune) == 0
+    monkeypatch.undo()
+    assert recorder.calls
+    for call in recorder.calls:
+        assert call.startswith("warning: glasso did not converge in ")
+        assert call.endswith("\n") and call.count("\n") == 1
+        assert "solver.py" not in call
+
+
 def test_evaluate_permissive_universe(tmp_path, capsys):
     edges = tmp_path / "edges.csv"
     edges.write_text(

@@ -129,6 +129,23 @@ def test_bootstrap_centering_modes_differ_on_skewed_data():
     assert replicate.lam != original.lam
 
 
+def test_uncentered_bootstrap_uses_raw_second_moments():
+    # With center=False, A is the raw second moment, and so is every
+    # replicate; the oracle redraws each resample from its own stream.
+    rng = np.random.default_rng(38)
+    n, d, seed = 60, 4, 11
+    data = rng.standard_normal((n, d)) + 1.0
+    A = data.T @ data / n
+    oracle = []
+    for b in range(1, 31):
+        sample = data[np.random.default_rng((seed, b)).integers(0, n, n)]
+        oracle.append(np.abs(sample.T @ sample / n - A).max())
+    for centering in ("replicate", "original"):
+        config = gs.RobselConfig(alpha=0.2, B=30, seed=seed, bootstrap_centering=centering)
+        samples = gs.bootstrap_rwp_samples(data, config, center=False)
+        np.testing.assert_allclose(samples, np.sort(oracle), rtol=1e-12, atol=0)
+
+
 def test_robsel_fit_monotone_alpha_composition():
     truth = gs.generate_precision(10, 0.1, seed=40)
     data = gs.sample_gaussian(truth, 200, seed=41)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ggmselect as gs
-from ggmselect import InvalidInputError
+from ggmselect import InvalidInputError, simulation
 
 
 def test_generated_truth_invariants():
@@ -128,6 +128,70 @@ def test_experiment_testing_cells_at_small_n_are_silent(capsys):
     assert all(r.fwer_indicator is None and r.tpr is None for r in testing)
     robsel = [r for r in report.records if r.method == "robsel"]
     assert all(r.fwer_indicator is not None for r in robsel)
+
+
+def test_sweep_cells_agree_with_public_selectors():
+    plan = gs.ExperimentPlan(
+        d=8, edge_prob=0.2, sample_sizes=[40], replications=2, alphas=[0.1, 0.3], B=20, seed=8
+    )
+    methods = ("robsel", "holm", "bonferroni", "sidak", "cv", "ebic")
+    report = gs.run_experiment(plan, methods=methods, folds=3, grid_size=5)
+    truth = gs.generate_precision(plan.d, plan.edge_prob, plan.seed)
+    checked = 0
+    for r in report.records:
+        keys = (plan.seed, r.n, r.replicate)
+        data = gs.sample_gaussian(truth, r.n, simulation._child_seed(*keys, 1))
+        if r.method == "robsel":
+            config = gs.RobselConfig(alpha=r.alpha, B=plan.B, seed=simulation._child_seed(*keys, 2))
+            assert r.lam == gs.robsel_lambda(data, config).lam
+        elif r.method in ("cv", "ebic"):
+            grid = gs.lambda_grid(gs.empirical_covariance(data), 5)
+            if r.method == "cv":
+                tuned = gs.cv_select(data, 3, grid, seed=simulation._child_seed(*keys, 3))
+            else:
+                tuned = gs.ebic_select(data, grid)
+            assert r.lam == tuned.chosen_lambda
+        else:
+            edges = gs.testing_select(data, r.alpha, method=r.method).edges
+            scores = gs.metrics_from_confusion(gs.confusion(edges, truth.edges))
+            assert (r.tpr, r.fpr) == (scores.tpr, scores.fpr)
+        checked += 1
+    assert checked == 2 * (4 * 2 + 2)
+
+
+def test_recorded_timings_cover_exactly_the_defined_cells():
+    # n = 8 = d leaves the testing cells undefined.
+    plan = gs.ExperimentPlan(
+        d=8, edge_prob=0.2, sample_sizes=[8, 40], replications=2, alphas=[0.1, 0.3], B=20
+    )
+    methods = ("robsel", "holm", "sidak", "ebic")
+    report = gs.run_experiment(plan, methods=methods, grid_size=4, record_timings=True)
+    undefined = [r for r in report.records if r.fwer_indicator is None]
+    defined = [r for r in report.records if r.fwer_indicator is not None]
+    assert {(r.method, r.n) for r in undefined} == {("holm", 8), ("sidak", 8)}
+    assert all(r.runtime_seconds is None for r in undefined)
+    assert len(defined) == 2 * (2 + 2 + 2 + 1) + 2 * (2 + 1)
+    assert all(r.runtime_seconds >= 0 for r in defined)
+
+
+def test_failed_bootstrap_blanks_only_the_robsel_cells(monkeypatch, capsys):
+    def broken_bootstrap(data, config):
+        raise gs.SingularInputError("broken bootstrap")
+
+    monkeypatch.setattr(simulation, "bootstrap_rwp_samples", broken_bootstrap)
+    plan = gs.ExperimentPlan(
+        d=6, edge_prob=0.3, sample_sizes=[40], replications=2, alphas=[0.1, 0.3], B=10
+    )
+    report = gs.run_experiment(plan, methods=("robsel", "holm"))
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"warning: robsel failed at (n=40, r={r}): broken bootstrap" for r in (1, 2)
+    ]
+    robsel = [r for r in report.records if r.method == "robsel"]
+    holm = [r for r in report.records if r.method == "holm"]
+    assert len(robsel) == len(holm) == 4
+    assert all(r.fwer_indicator is None and r.lam is None for r in robsel)
+    assert all(r.fwer_indicator is not None and r.tpr is not None for r in holm)
 
 
 def test_experiment_schedule_independent():

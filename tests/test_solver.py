@@ -237,6 +237,18 @@ def test_zero_penalty_failing_certificate_warns_once():
     assert result.sweeps_used == 0
 
 
+def test_failing_certificate_warning_reports_sweeps_used():
+    A = random_covariance(np.random.default_rng(31), 5)
+    for config, sweeps in (
+        (gs.SolverConfig(lam=0.0, kkt_tol=1e-300), 0),
+        (gs.SolverConfig(lam=1e-4, max_sweeps=1, kkt_tol=1e-300), 1),
+    ):
+        with pytest.warns(RuntimeWarning, match="did not converge") as caught:
+            result = gs.glasso(A, config)
+        assert result.sweeps_used == sweeps
+        assert f"did not converge in {sweeps} sweeps " in str(caught[0].message)
+
+
 def _assert_kernel_matches_reference(Q, b, lam, beta, max_passes, tol=1e-9):
     expected_beta, beta = beta.copy(), beta.copy()
     expected = lasso_gram_cd_reference(Q, b, lam, expected_beta, max_passes, tol)
