@@ -268,10 +268,10 @@ def load_data_csv(path) -> DataMatrix:
 
 def format_real(value) -> str:
     """Render a real with 12 significant digits; None and NaN, which mark an
-    undefined value, become the empty field."""
+    undefined value, become the empty field, and negative zero prints as 0."""
     if value is None or math.isnan(value):
         return ""
-    return format(float(value), ".12g")
+    return format(float(value) + 0.0, ".12g")
 
 
 @contextmanager

@@ -95,11 +95,52 @@ def order_statistic_rank(B: int, alpha: float) -> int:
     return min(max(int(rank), 1), B)
 
 
-def _bootstrap_rwp(values, A, center: bool, seed: int, b: int) -> float:
-    rng = np.random.default_rng((seed, b))
-    n = values.shape[0]
-    sample = values[rng.integers(0, n, size=n)]
-    return float(np.abs(_cov(sample, center=center) - A).max())
+#: Replicates per block handed to ``parallel_map``. Fixed, so that BLAS sees
+#: the same shapes, and R* is bit-identical, at every thread count.
+_REPLICATE_BLOCK = 100
+#: Upper-triangle pairs (i <= j) per tile of the count-weighted product.
+_PAIR_BLOCK = 256
+#: Rows of the data per chunk of the count-weighted product.
+_ROW_CHUNK = 128
+
+
+def _bootstrap_block(X, A, center_replicates: bool, seed: int, replicates) -> np.ndarray:
+    """R*_b for each replicate b in ``replicates``, from resample counts.
+
+    Replicate b draws ``default_rng((seed, b)).integers(0, n, n)``; with c_b
+    the number of times each row was drawn, its second moment is
+    S_b = sum_k c_bk x_k x_k^T / n, less m_b m_b^T (m_b = sum_k c_bk x_k / n)
+    when it is centered at its own mean. S_b is accumulated one tile of
+    pairs (i, j), i <= j, at a time, over chunks of rows, so that neither
+    the n x d(d+1)/2 products nor the float counts are held whole.
+    """
+    n, d = X.shape
+    counts = np.empty((len(replicates), n), dtype=np.int32)
+    for k, b in enumerate(replicates):
+        draw = np.random.default_rng((seed, b)).integers(0, n, n)
+        counts[k] = np.bincount(draw, minlength=n)
+    chunks = [slice(start, start + _ROW_CHUNK) for start in range(0, n, _ROW_CHUNK)]
+    if center_replicates:
+        means = np.zeros((len(replicates), d))
+        for rows in chunks:
+            means += counts[:, rows].astype(float) @ X[rows]
+        means /= n
+    rows_i, cols_j = np.triu_indices(d)
+    result = np.zeros(len(replicates))
+    for start in range(0, rows_i.size, _PAIR_BLOCK):
+        I = rows_i[start:start + _PAIR_BLOCK]
+        J = cols_j[start:start + _PAIR_BLOCK]
+        S = np.zeros((len(replicates), I.size))
+        for rows in chunks:
+            products = X[rows, I]
+            products *= X[rows, J]
+            S += counts[:, rows].astype(float) @ products
+        S /= n
+        if center_replicates:
+            S -= means[:, I] * means[:, J]
+        S -= A[I, J]
+        np.maximum(result, np.abs(S, out=S).max(axis=1), out=result)
+    return result
 
 
 def bootstrap_rwp_samples(data, config: RobselConfig, center: bool = True, threads: int = 1) -> np.ndarray:
@@ -107,23 +148,29 @@ def bootstrap_rwp_samples(data, config: RobselConfig, center: bool = True, threa
 
     Each replicate is formed as A is: with ``center=False`` it is the raw
     second moment of its resample, and ``config.bootstrap_centering`` applies
-    only when centering. Replicate b depends only on (config.seed, b), so
-    parallel and serial execution produce bit-identical results.
+    only when centering. Replicate b depends only on (config.seed, b), and
+    replicates are computed in blocks of a fixed size, so parallel and serial
+    execution produce bit-identical results.
     """
     data = as_data_matrix(data)
     values = data.values
     A = _cov(values, center=center)
-    # "original" centers once, at the full-sample mean; "replicate" centers
-    # each resample at its own mean.
-    if center and config.bootstrap_centering == "original":
+    # Centered replicates are shift-invariant, so both centerings start from
+    # the data centered at the full-sample mean; "replicate" then removes
+    # each resample's own mean as well.
+    if center:
         values = values - values.mean(axis=0)
     center_replicates = center and config.bootstrap_centering == "replicate"
+    blocks = [
+        range(start, min(start + _REPLICATE_BLOCK, config.B + 1))
+        for start in range(1, config.B + 1, _REPLICATE_BLOCK)
+    ]
     samples = parallel_map(
-        lambda b: _bootstrap_rwp(values, A, center_replicates, config.seed, b),
-        range(1, config.B + 1),
+        lambda replicates: _bootstrap_block(values, A, center_replicates, config.seed, replicates),
+        blocks,
         threads,
     )
-    return np.sort(np.asarray(samples, dtype=float))
+    return np.sort(np.concatenate(samples))
 
 
 def robsel_lambda(data, config: RobselConfig, center: bool = True, threads: int = 1) -> RobselResult:

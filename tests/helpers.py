@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import ggmselect
+from ggmselect.core import _cov
 
 
 def brute_force_objective_d2(A, lam, penalize_diagonal, grid_points=17, cycles=100):
@@ -148,3 +149,26 @@ def subprocess_env():
         package_root + os.pathsep + existing if existing else package_root
     )
     return env
+
+
+def bootstrap_rwp_reference(data, config, center=True):
+    """Sorted R*_1..R*_B, one gathered resample at a time.
+
+    Per-replicate reference for ``ggmselect.robsel.bootstrap_rwp_samples``:
+    replicate b gathers the rows drawn by
+    ``default_rng((config.seed, b)).integers(0, n, n)`` and forms its
+    covariance with ``_cov``, centered at the resample's own mean
+    ("replicate"), at the full-sample mean ("original"), or not at all when
+    ``center=False``.
+    """
+    values = np.asarray(data, dtype=float)
+    n = values.shape[0]
+    A = _cov(values, center=center)
+    if center and config.bootstrap_centering == "original":
+        values = values - values.mean(axis=0)
+    center_replicates = center and config.bootstrap_centering == "replicate"
+    samples = []
+    for b in range(1, config.B + 1):
+        sample = values[np.random.default_rng((config.seed, b)).integers(0, n, n)]
+        samples.append(np.abs(_cov(sample, center=center_replicates) - A).max())
+    return np.sort(samples)

@@ -154,6 +154,30 @@ def test_simulate_then_fit_round_trip(tmp_path, capsys):
     assert run_cli(["fit", "-i", tmp_path / "sim.data.csv", "--lambda", "0.3"]) == 0
 
 
+def test_precision_csv_writes_no_negative_zero(tmp_path):
+    # The raw second moment of mean-shifted data leaves exact zeros in the
+    # fitted precision that glasso returns as -0.0.
+    assert run_cli(["simulate", "--d", "8", "--edge-prob", "0.15", "--n", "60",
+                    "--seed", "5", "-o", tmp_path / "sim"]) == 0
+    data = gs.load_data_csv(tmp_path / "sim.data.csv")
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text(
+        "\n".join([",".join(data.names())]
+                  + [",".join(format(v, ".12g") for v in row) for row in data.values + 1.0])
+        + "\n",
+        encoding="utf-8",
+    )
+    assert run_cli(["robsel", "-i", shifted, "--alpha", "0.2", "--bootstrap", "40",
+                    "--seed", "3", "--no-center", "-o", tmp_path / "s"]) == 0
+    fields = [
+        field
+        for line in (tmp_path / "s.precision.csv").read_text().splitlines()[1:]
+        for field in line.split(",")
+    ]
+    assert "0" in fields
+    assert "-0" not in fields
+
+
 def test_experiment_threads_do_not_change_output(tmp_path):
     config = tmp_path / "plan.cfg"
     config.write_text(

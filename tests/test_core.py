@@ -3,6 +3,7 @@ import pytest
 
 import ggmselect as gs
 from ggmselect import InvalidInputError
+from ggmselect.core import format_real
 
 from helpers import random_covariance
 
@@ -196,3 +197,10 @@ def test_symmetry_validation():
     asym = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(InvalidInputError, match="symmetric"):
         gs.max_offdiag_abs(asym)
+
+
+def test_format_real_writes_negative_zero_as_zero():
+    assert format_real(-0.0) == "0"
+    assert format_real(0.0) == "0"
+    assert format_real(-1.5e-300) == "-1.5e-300"
+    assert format_real(None) == ""

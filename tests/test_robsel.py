@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import pytest
 import ggmselect as gs
 from ggmselect import InvalidInputError, SingularInputError
 
-from helpers import random_covariance
+from ggmselect import robsel
+from ggmselect.core import _cov
+
+from helpers import bootstrap_rwp_reference, random_covariance
 
 
 def test_rwp_identical_matrices():
@@ -144,6 +148,68 @@ def test_uncentered_bootstrap_uses_raw_second_moments():
         config = gs.RobselConfig(alpha=0.2, B=30, seed=seed, bootstrap_centering=centering)
         samples = gs.bootstrap_rwp_samples(data, config, center=False)
         np.testing.assert_allclose(samples, np.sort(oracle), rtol=1e-12, atol=0)
+
+
+CENTERINGS = [(True, "replicate"), (True, "original"), (False, "replicate")]
+
+
+@pytest.mark.parametrize("center,centering", CENTERINGS)
+@pytest.mark.parametrize(
+    "n,d,B",
+    [
+        (60, 4, 250),  # three replicate blocks, the last one partial
+        (40, 5, 7),  # fewer replicates than one block
+        (6, 9, 30),  # n < d
+        (300, 30, 120),  # several pair tiles and row chunks
+    ],
+)
+def test_bootstrap_matches_per_replicate_reference(n, d, B, center, centering):
+    rng = np.random.default_rng(39)
+    data = rng.exponential(1.0, size=(n, d)) + 2.0
+    config = gs.RobselConfig(alpha=0.2, B=B, seed=12, bootstrap_centering=centering)
+    samples = gs.bootstrap_rwp_samples(data, config, center=center)
+    expected = bootstrap_rwp_reference(data, config, center=center)
+    assert samples.shape == (B,)
+    np.testing.assert_allclose(samples, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("center,centering", CENTERINGS)
+def test_bootstrap_block_of_a_single_variable(center, centering):
+    # Data matrices need two columns, so the one-pair tile is checked on the
+    # block itself.
+    rng = np.random.default_rng(40)
+    data = rng.standard_normal((50, 1)) + 3.0
+    config = gs.RobselConfig(alpha=0.2, B=40, seed=13, bootstrap_centering=centering)
+    X = data - data.mean(axis=0) if center else data
+    samples = robsel._bootstrap_block(
+        X, _cov(data, center), center and centering == "replicate", config.seed,
+        range(1, config.B + 1),
+    )
+    expected = bootstrap_rwp_reference(data, config, center=center)
+    np.testing.assert_allclose(np.sort(samples), expected, rtol=1e-12, atol=0)
+
+
+def test_bootstrap_is_bit_identical_across_threads_over_several_blocks():
+    rng = np.random.default_rng(41)
+    data = rng.standard_normal((150, 12))
+    config = gs.RobselConfig(alpha=0.1, B=250, seed=14)
+    serial = gs.bootstrap_rwp_samples(data, config, threads=1)
+    for threads in (2, 3):
+        assert np.array_equal(serial, gs.bootstrap_rwp_samples(data, config, threads=threads))
+
+
+def test_bootstrap_working_set_stays_small():
+    # The products x_i * x_j over all pairs would take 33 MB here; they are
+    # formed one tile at a time.
+    data = np.random.default_rng(42).standard_normal((3200, 50))
+    config = gs.RobselConfig(alpha=0.1, B=200, seed=15)
+    tracemalloc.start()
+    try:
+        gs.bootstrap_rwp_samples(data, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 def test_robsel_fit_monotone_alpha_composition():
