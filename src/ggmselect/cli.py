@@ -242,7 +242,7 @@ def _cmd_evaluate(args) -> int:
 def _read_edge_list(path):
     """Rows of an edge-list CSV written by this tool (header skipped)."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for r, row in enumerate(csv.reader(handle), start=1):
             if not row:
                 continue

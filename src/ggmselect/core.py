@@ -224,23 +224,23 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def load_data_csv(path) -> DataMatrix:
-    """Read an observation matrix from a CSV file.
+def _is_header(row: list[str]) -> bool:
+    return any(not _is_float(tok) for tok in row)
 
-    UTF-8, comma-separated, '.' decimal separator, one observation per row.
-    A header row of variable names is detected automatically: if any cell of
-    the first row does not parse as a number, that row is taken as the header.
-    Parse failures report the offending row and column (1-based, counting the
-    header row if present).
+
+def _parse_rows_checked(path, lines: list[str]) -> tuple[np.ndarray, list[str] | None]:
+    """Values and header names of CSV lines, every token through ``_parse_float``.
+
+    This loop is the reference parser and the only source of the loader's
+    error messages.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        raw = [row for row in csv.reader(handle) if row]
+    raw = [row for row in csv.reader(lines) if row]
     if not raw:
         raise InvalidInputError(f"{path}: file contains no data")
 
     names = None
     start = 0
-    if any(not _is_float(tok) for tok in raw[0]):
+    if _is_header(raw[0]):
         names = [tok.strip() for tok in raw[0]]
         start = 1
 
@@ -263,7 +263,54 @@ def load_data_csv(path) -> DataMatrix:
 
     if not rows:
         raise InvalidInputError(f"{path}: no observation rows found")
-    return DataMatrix(np.array(rows, dtype=float), names)
+    return np.array(rows, dtype=float), names
+
+
+def _parse_rows_fast(lines: list[str], width: int) -> np.ndarray | None:
+    """Values of data lines from one ``np.loadtxt`` call, or None.
+
+    The values are returned only where the checked loop would return the same
+    ones: without a quote csv splits on every comma, without '_' float() and
+    loadtxt read the same literals, and loadtxt rejects ragged rows itself.
+    Everything else, including what loadtxt rejects and the loop may accept,
+    is left to the loop.
+    """
+    if any('"' in line or "_" in line for line in lines):
+        return None
+    # loadtxt warns on input without a data line; the loop reports it.
+    if not any(line.strip("\r\n") for line in lines):
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != width or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def load_data_csv(path) -> DataMatrix:
+    """Read an observation matrix from a CSV file.
+
+    UTF-8 (a leading byte-order mark is dropped), comma-separated, '.'
+    decimal separator, one observation per row. The first non-empty row is
+    the header of variable names if any of its cells does not parse as a
+    number; otherwise it is the first observation. Empty lines are skipped
+    and quoted fields are accepted. Non-finite values, literals with '_'
+    and rows whose width differs from the first row are rejected; the error
+    names the row and column, 1-based, counting non-empty rows and the
+    header row if present.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        lines = handle.readlines()
+    rows = csv.reader(lines)
+    first = next((row for row in rows if row), [])
+    names = [tok.strip() for tok in first] if _is_header(first) else None
+    body = lines[rows.line_num:] if names is not None else lines
+    values = _parse_rows_fast(body, len(first))
+    if values is None:
+        values, names = _parse_rows_checked(path, lines)
+    return DataMatrix(values, names)
 
 
 def format_real(value) -> str:

@@ -120,7 +120,7 @@ def validated_edge_report(estimated: EdgeSet, reference: EdgeSet) -> EdgeValidat
 def load_interaction_pairs(path) -> list[tuple[str, str]]:
     """Read (name, name) pairs from a two-column CSV, one interaction per row."""
     pairs = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for r, row in enumerate(csv.reader(handle), start=1):
             if not row:
                 continue

@@ -276,6 +276,19 @@ def test_evaluate_permissive_universe(tmp_path, capsys):
     assert "proportion = 0.5" in out
 
 
+def test_evaluate_skips_edge_list_header_after_byte_order_mark(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text(
+        "\ufeffnode_i,node_j,precision_value\na,b,0.5\nb,c,-0.25\n", encoding="utf-8"
+    )
+    reference = tmp_path / "ref.csv"
+    reference.write_text("a,b\n", encoding="utf-8")
+    assert run_cli(["evaluate", "--edges", edges, "--reference", reference]) == 0
+    out = capsys.readouterr().out
+    assert "estimated_edges = 2" in out
+    assert "validated_edges = 1" in out
+
+
 def test_evaluate_strict_universe_rejects_unknown_names(tmp_path, sample_csv, capsys):
     edges = tmp_path / "edges.csv"
     edges.write_text("node_i,node_j,precision_value\ng0,g1,0.5\n", encoding="utf-8")

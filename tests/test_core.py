@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ggmselect as gs
-from ggmselect import InvalidInputError
+from ggmselect import InvalidInputError, core
 from ggmselect.core import format_real
 
 from helpers import random_covariance
@@ -191,6 +193,115 @@ def test_load_csv_rejects_underscore_separators(tmp_path):
     path.write_text("x,y\n1_000,2\n3,4\n", encoding="utf-8")
     with pytest.raises(InvalidInputError, match=r"row 2, column 1"):
         gs.load_data_csv(path)
+
+
+def test_load_csv_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("\ufeff1.5,2\n3,4\n5,6\n", encoding="utf-8")
+    data = gs.load_data_csv(path)
+    assert data.variable_names is None
+    assert np.array_equal(data.values, [[1.5, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    path.write_text("\ufeffx,y\n1,2\n3,4\n", encoding="utf-8")
+    assert gs.load_data_csv(path).variable_names == ["x", "y"]
+
+
+# Text that loadtxt and the checked loop may read differently; each entry must
+# load to the loop's values and names or fail with the loop's message.
+LOADER_CORPUS = {
+    "quoted fields": '"x","y"\n"1.5","2"\n3,"4"\n',
+    "quoted header name with a comma": '"a,b",c\n1,2\n3,4\n',
+    "quoted numeric first row": '"1","2"\n3,4\n5,6\n',
+    "leading blank lines": "\n\nx,y\n1,2\n3,4\n",
+    "blank lines between rows": "x,y\n1,2\n\n3,4\n\n",
+    "blank lines in a headerless file": "\n1,2\n\r\n3,4\n\n",
+    "whitespace-only line": "x,y\n1,2\n  \n3,4\n",
+    "whitespace-only line, headerless": "1,2\n\t\n3,4\n",
+    "whitespace-only first line": " \n1,2\n3,4\n",
+    "crlf line ends": "x,y\r\n1,2\r\n3,4\r\n",
+    "lone cr line ends": "x,y\r1,2\r3,4\r",
+    "mixed line ends": "x,y\r\n1,2\r3,4\n5,6",
+    "nan": "x,y\n1,2\nnan,4\n",
+    "inf": "1,2\n3,inf\n",
+    "negative infinity": "x,y\n1,2\n3,-Infinity\n",
+    "1e400": "x,y\n1e400,2\n3,4\n",
+    "1e-400": "x,y\n1e-400,2\n3,4\n",
+    "underscore literal": "x,y\n1_0,2\n3,4\n",
+    "underscore in the header only": "x_1,x_2\n1,2\n3,4\n",
+    "ragged row": "1,2\n3,4,5\n",
+    "short row": "x,y\n1,2\n3\n",
+    "trailing comma": "x,y\n1,2,\n3,4,\n",
+    "trailing comma in the header": "x,y,\n1,2,\n3,4,\n",
+    "empty field": "x,y\n1,\n3,4\n",
+    "header wider than the data": "x,y,z\n1,2\n3,4\n",
+    "header narrower than the data": "x,y\n1,2,3\n4,5,6\n",
+    "header only": "x,y\n",
+    "header and blank lines only": "x,y\n\n\r\n",
+    "empty file": "",
+    "blank lines only": "\n\r\n\r",
+    "byte-order mark, headerless": "\ufeff1.5,2\n3,4\n5,6\n",
+    "byte-order mark, header": "\ufeffx,y\n1,2\n3,4\n",
+    "padded tokens": "x,y\n 1.5 ,2\n3,\t4\n",
+    "unicode space padding": "x,y\n\xa01.5,2\u2000\n3,4\n",
+    "hex literal": "x,y\n0x1p3,2\n3,4\n",
+    "unicode digit": "x,y\n\u0661,2\n3,4\n",
+    "comment character": "x,y\n1,2 # note\n3,4\n",
+    "single column": "x\n1\n2\n",
+    "single row": "x,y\n1,2\n",
+    "signs and bare points": "x,y\n+1.5,-.5\n5.,-0\n",
+    "plain six decimals": "V1,V2,V3\n0.123456,-1.500000,2.000001\n-0.000001,3.141593,1e-05\n",
+}
+
+
+def _loaded(load, path):
+    try:
+        data = load(path)
+    except InvalidInputError as exc:
+        return str(exc)
+    return data.values.tobytes(), data.values.shape, data.variable_names
+
+
+def _load_checked(path):
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        values, names = core._parse_rows_checked(path, handle.readlines())
+    return gs.DataMatrix(values, names)
+
+
+@pytest.mark.parametrize("text", LOADER_CORPUS.values(), ids=LOADER_CORPUS.keys())
+def test_load_csv_matches_checked_loop(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _loaded(gs.load_data_csv, path) == _loaded(_load_checked, path)
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_load_csv_plain_numbers_skip_the_checked_loop(tmp_path, monkeypatch, line_end):
+    values = np.round(np.random.default_rng(9).standard_normal((20, 4)), 6)
+    rows = [",".join(f"{v:.6f}" for v in row) for row in values]
+    path = tmp_path / "data.csv"
+
+    def refuse(token):
+        raise AssertionError("the checked loop ran")
+
+    monkeypatch.setattr(core, "_parse_float", refuse)
+    for lines in (["a,b,c,d", *rows], rows):
+        path.write_text(line_end.join(lines) + line_end, encoding="utf-8")
+        assert np.array_equal(gs.load_data_csv(path).values, values)
+
+
+def test_load_csv_working_set_stays_small(tmp_path):
+    # Parsing every token into Python floats held about 17 MB here.
+    values = np.random.default_rng(10).standard_normal((3200, 50))
+    path = tmp_path / "data.csv"
+    header = ",".join(f"V{i + 1}" for i in range(50))
+    np.savetxt(path, values, fmt="%.6f", delimiter=",", header=header, comments="")
+    tracemalloc.start()
+    try:
+        data = gs.load_data_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.values.shape == (3200, 50)
+    assert peak <= 8e6
 
 
 def test_symmetry_validation():

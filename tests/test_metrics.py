@@ -133,6 +133,13 @@ def test_reference_loader_dedupes_and_normalizes(tmp_path):
     assert set(edges.edges) == {(0, 1), (0, 2)}
 
 
+def test_reference_loader_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "ref.csv"
+    path.write_text("\ufeffa,b\nc,a\n", encoding="utf-8")
+    edges = gs.load_reference_interactions(path, ["a", "b", "c"])
+    assert set(edges.edges) == {(0, 1), (0, 2)}
+
+
 def test_reference_loader_unmatched_names(tmp_path):
     path = tmp_path / "ref.csv"
     path.write_text("a,zz\nqq,b\n", encoding="utf-8")
