@@ -88,6 +88,7 @@ def _fit_and_write(args, data, lam, *preamble) -> None:
     print(f"objective = {format_real(result.objective)}")
     print(f"kkt_residual = {format_real(result.kkt_residual)}")
     print(f"sweeps_used = {result.sweeps_used}")
+    print(f"blocks = {len(result.block_sizes)} (largest {result.block_sizes[0]})")
     print(f"converged = {str(result.converged).lower()}")
     print(f"edges = {len(edges)}")
     names = data.names()

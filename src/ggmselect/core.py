@@ -234,22 +234,22 @@ def _parse_rows_checked(path, lines: list[str]) -> tuple[np.ndarray, list[str] |
     This loop is the reference parser and the only source of the loader's
     error messages.
     """
-    raw = [row for row in csv.reader(lines) if row]
+    reader = csv.reader(lines)
+    # line_num is the file line on which the row just read ends.
+    raw = [(reader.line_num, row) for row in reader if row]
     if not raw:
         raise InvalidInputError(f"{path}: file contains no data")
 
     names = None
-    start = 0
-    if _is_header(raw[0]):
-        names = [tok.strip() for tok in raw[0]]
-        start = 1
+    if _is_header(raw[0][1]):
+        names = [tok.strip() for tok in raw.pop(0)[1]]
 
     rows = []
-    width = len(names) if names is not None else len(raw[start]) if len(raw) > start else 0
-    for r, row in enumerate(raw[start:], start=start + 1):
+    width = len(names) if names is not None else len(raw[0][1]) if raw else 0
+    for line, row in raw:
         if len(row) != width:
             raise InvalidInputError(
-                f"{path}: row {r} has {len(row)} fields, expected {width}"
+                f"{path}: line {line} has {len(row)} fields, expected {width}"
             )
         parsed = []
         for c, token in enumerate(row, start=1):
@@ -257,7 +257,7 @@ def _parse_rows_checked(path, lines: list[str]) -> tuple[np.ndarray, list[str] |
                 parsed.append(_parse_float(token))
             except ValueError:
                 raise InvalidInputError(
-                    f"{path}: could not parse value at row {r}, column {c}: {token.strip()!r}"
+                    f"{path}: could not parse value at line {line}, column {c}: {token.strip()!r}"
                 ) from None
         rows.append(parsed)
 
@@ -298,8 +298,8 @@ def load_data_csv(path) -> DataMatrix:
     number; otherwise it is the first observation. Empty lines are skipped
     and quoted fields are accepted. Non-finite values, literals with '_'
     and rows whose width differs from the first row are rejected; the error
-    names the row and column, 1-based, counting non-empty rows and the
-    header row if present.
+    names the file line and column, 1-based (for a quoted field spanning
+    lines, the line on which its row ends).
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         lines = handle.readlines()

@@ -34,29 +34,40 @@ from .core import check_square_symmetric, symmetrize
 from .errors import InvalidInputError, SingularInputError
 
 
-def _lasso_gram_cd(Q, b, lam, beta, max_passes, tol):
+def _lasso_gram_cd(Q, b, lam, beta, max_passes, tol, free=True):
     """Coordinate descent for min_beta 0.5*beta'Q beta - b'beta + lam*||beta||_1.
 
     ``Q`` must be exactly symmetric. ``beta`` is updated in place (warm
-    start). Returns (passes, residual) where residual is the max-norm
-    subgradient violation. Iterates until the residual is within ``tol`` and
-    the last pass changed no support entry, so that coefficients at exactly
-    zero stay exactly zero.
+    start). ``free`` is a boolean mask of the coordinates solved for (True,
+    the default, frees all of them); the others must start at 0.0, stay
+    exactly 0.0 and do not enter the residual. Returns (passes, residual)
+    where residual is the max-norm subgradient violation over the free
+    coordinates. Iterates until the residual is within ``tol`` and the last
+    pass changed no support entry, so that coefficients at exactly zero stay
+    exactly zero.
+
+    Each pass is screened: from the gradient ``g - b`` at its start it
+    visits, in index order, only the free coordinates that are nonzero or
+    violate their optimality condition ``|g_i - b_i| <= lam``; any other
+    coordinate would be updated to the zero it already holds. A coordinate
+    that starts to violate during a pass is visited on the next one, and the
+    stop rule checks every free coordinate.
 
     The coordinate loop runs on Python floats; each update moves the whole
     gradient with one vector operation, ``g += Q[i] * delta``, which by the
     symmetry of ``Q`` does the same multiply and add per element as updating
     along column ``i``.
     """
-    m = beta.shape[0]
     g = Q @ beta
     diag = Q.diagonal().tolist()
     rhs = b.tolist()
     coef = beta.tolist()
+    grad = g - b
     resid = np.inf
     for p in range(max_passes):
+        visit = ((beta != 0.0) | (np.abs(grad) > lam)) & free
         support_changed = False
-        for i in range(m):
+        for i in np.flatnonzero(visit).tolist():
             old = coef[i]
             qii = diag[i]
             u = rhs[i] - (float(g[i]) - qii * old)
@@ -78,7 +89,7 @@ def _lasso_gram_cd(Q, b, lam, beta, max_passes, tol):
             np.maximum(np.abs(grad) - lam, 0.0),
             np.abs(grad + np.where(beta > 0.0, lam, -lam)),
         )
-        resid = float(violation.max(initial=0.0))
+        resid = float(violation.max(initial=0.0, where=free))
         if resid <= tol and not support_changed:
             return p + 1, resid
     return max_passes, resid
@@ -110,7 +121,12 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
-    """Solver output: precision estimate K, its inverse W, and diagnostics."""
+    """Solver output: precision estimate K, its inverse W, and diagnostics.
+
+    ``block_sizes`` are the sizes of the connected components of
+    {|A_ij| > lambda}, the diagonal blocks solved apart, largest first;
+    lambda = 0 does not split the problem and gives ``(d,)``.
+    """
 
     precision: np.ndarray
     covariance: np.ndarray
@@ -118,6 +134,7 @@ class SolverResult:
     kkt_residual: float
     sweeps_used: int
     converged: bool
+    block_sizes: tuple[int, ...]
 
 
 def _cholesky(matrix, err: str) -> np.ndarray:
@@ -223,7 +240,8 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
     Each single-variable component has the closed form 1 / (A_ii + lambda),
     or 1 / A_ii when the diagonal is not penalized; each larger component is
     solved on its own. ``sweeps_used`` is the largest sweep count over the
-    components, and the KKT residual is always computed on the full matrix.
+    components, ``block_sizes`` lists their sizes, and the KKT residual is
+    always computed on the full matrix.
     """
     A = check_square_symmetric(A, "covariance matrix")
     _check_psd(A)
@@ -231,6 +249,7 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
 
     sweeps = 0
     if lam == 0.0:
+        labels = np.zeros(A.shape[0], dtype=int)
         precision = _pd_inverse(
             A, "lambda = 0 requires a strictly positive definite covariance"
         )
@@ -275,6 +294,7 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
         kkt_residual=resid,
         sweeps_used=sweeps,
         converged=converged,
+        block_sizes=tuple(sorted(np.bincount(labels).tolist(), reverse=True)),
     )
 
 
@@ -298,6 +318,16 @@ def _glasso_block(A, config: SolverConfig, init):
 
 
 def _column_sweeps(A, config: SolverConfig, init):
+    """Sweeps of column updates until the full-matrix certificate holds.
+
+    The update of column j solves the lasso of A[:, j] on the working
+    covariance W with coordinate j held at zero; it runs on the whole of W,
+    with a mask that leaves j out, so no (d-1)x(d-1) block is copied. Its
+    solution beta gives W[:, j] = W @ beta (with W_jj kept) and the column
+    of the precision matrix, written into row and column j alike. W, A and
+    the precision iterate are exactly symmetric, so their rows are read in
+    place of their columns. Returns (precision, sweeps used).
+    """
     d = A.shape[0]
     lam = float(config.lam)
 
@@ -326,14 +356,13 @@ def _column_sweeps(A, config: SolverConfig, init):
 
     for sweeps in range(1, config.max_sweeps + 1):
         for j in range(d):
-            rest = indices != j
-            Q = W[np.ix_(rest, rest)]
-            b = A[rest, j]
-            beta = -precision[rest, j] / precision[j, j]
-            _lasso_gram_cd(Q, b, lam, beta, inner_max, inner_tol)
-            w12 = Q @ beta
-            W[rest, j] = w12
-            W[j, rest] = w12
+            beta = precision[j] / -precision[j, j]
+            beta[j] = 0.0
+            _lasso_gram_cd(W, A[j], lam, beta, inner_max, inner_tol, indices != j)
+            w12 = W @ beta
+            w12[j] = W[j, j]
+            W[:, j] = w12
+            W[j] = w12
             gap = W[j, j] - float(beta @ w12)
             if gap <= 0.0:
                 raise SingularInputError(
@@ -342,9 +371,9 @@ def _column_sweeps(A, config: SolverConfig, init):
                 )
             k22 = 1.0 / gap
             k12 = -k22 * beta
-            precision[j, j] = k22
-            precision[rest, j] = k12
-            precision[j, rest] = k12
+            k12[j] = k22
+            precision[:, j] = k12
+            precision[j] = k12
 
         try:
             inverse = _pd_inverse(precision, "iterate lost positive definiteness")

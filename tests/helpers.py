@@ -60,20 +60,28 @@ def brute_force_objective_d2(A, lam, penalize_diagonal, grid_points=17, cycles=1
     return objective(k11, k12, k22)
 
 
-def lasso_gram_cd_reference(Q, b, lam, beta, max_passes, tol):
+def lasso_gram_cd_reference(Q, b, lam, beta, max_passes, tol, free=True):
     """Scalar coordinate descent for 0.5*beta'Q beta - b'beta + lam*||beta||_1.
 
-    Element-at-a-time reference for ``ggmselect.solver._lasso_gram_cd``:
-    the gradient is updated along column ``i`` one entry per step and the
-    residual is a scalar loop. Updates ``beta`` in place and returns
-    (passes, residual) under the same stopping rule.
+    Element-at-a-time reference for ``ggmselect.solver._lasso_gram_cd``: at
+    the start of each pass every free coordinate is checked on its own and
+    kept for the pass if it is nonzero or ``|g_i - b_i| > lam``; the kept
+    ones are updated in index order, the gradient along column ``i`` one
+    entry per step, and the residual over the free coordinates is a scalar
+    loop. ``free`` is a boolean mask or True (all free). Updates ``beta`` in
+    place and returns (passes, residual) under the same stopping rule.
     """
     m = beta.shape[0]
+    free = np.broadcast_to(free, m).tolist()
     g = Q @ beta
     resid = np.inf
     for p in range(max_passes):
+        visit = [
+            i for i in range(m)
+            if free[i] and (beta[i] != 0.0 or abs(g[i] - b[i]) > lam)
+        ]
         support_changed = False
-        for i in range(m):
+        for i in visit:
             old = beta[i]
             qii = Q[i, i]
             u = b[i] - (g[i] - qii * old)
@@ -92,6 +100,8 @@ def lasso_gram_cd_reference(Q, b, lam, beta, max_passes, tol):
                     support_changed = True
         resid = 0.0
         for i in range(m):
+            if not free[i]:
+                continue
             gi = g[i] - b[i]
             if beta[i] == 0.0:
                 v = abs(gi) - lam

@@ -41,6 +41,24 @@ def test_fit_writes_matrix_and_edges(tmp_path, sample_csv, capsys):
     assert edges.splitlines()[0] == "node_i,node_j,precision_value"
 
 
+def test_fit_summary_reports_blocks_after_sweeps(tmp_path, sample_csv, capsys):
+    A = gs.empirical_covariance(gs.load_data_csv(sample_csv))
+    for lam in (0.0, 0.1, 0.5):
+        assert run_cli(["fit", "-i", sample_csv, "--lambda", lam, "-o", tmp_path / "fit"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        sizes = gs.glasso(A, gs.SolverConfig(lam=lam)).block_sizes
+        at = next(k for k, line in enumerate(lines) if line.startswith("sweeps_used = "))
+        assert lines[at + 1] == f"blocks = {len(sizes)} (largest {sizes[0]})"
+
+
+def test_input_error_names_the_file_line(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("x,y\n\n1,2\n\n3,oops\n", encoding="utf-8")
+    assert run_cli(["fit", "-i", path, "--lambda", "0.1", "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "could not parse value at line 5, column 2: 'oops'" in err
+
+
 def test_fit_singular_input_is_runtime_failure(tmp_path, capsys):
     path = tmp_path / "singular.csv"
     path.write_text("1,2,3,4\n2,4,6,8\n3,6,9,12\n", encoding="utf-8")

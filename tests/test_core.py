@@ -170,28 +170,38 @@ def test_load_csv_without_header(tmp_path):
 def test_load_csv_reports_row_and_column(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("x,y\n1,2\n3,oops\n", encoding="utf-8")
-    with pytest.raises(InvalidInputError, match=r"row 3, column 2"):
+    with pytest.raises(InvalidInputError, match=r"line 3, column 2"):
+        gs.load_data_csv(path)
+
+
+def test_load_csv_error_counts_blank_lines(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x,y\n\n1,2\n\n3,oops\n", encoding="utf-8")
+    with pytest.raises(InvalidInputError, match=r"at line 5, column 2: 'oops'"):
+        gs.load_data_csv(path)
+    path.write_text("\r\n1,2\n\n\n3,4,5\n", encoding="utf-8")
+    with pytest.raises(InvalidInputError, match=r"line 5 has 3 fields, expected 2"):
         gs.load_data_csv(path)
 
 
 def test_load_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1,2\nnan,4\n", encoding="utf-8")
-    with pytest.raises(InvalidInputError, match=r"row 2, column 1"):
+    with pytest.raises(InvalidInputError, match=r"line 2, column 1"):
         gs.load_data_csv(path)
 
 
 def test_load_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1,2\n3,4,5\n", encoding="utf-8")
-    with pytest.raises(InvalidInputError, match=r"row 2"):
+    with pytest.raises(InvalidInputError, match=r"line 2 has 3 fields"):
         gs.load_data_csv(path)
 
 
 def test_load_csv_rejects_underscore_separators(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("x,y\n1_000,2\n3,4\n", encoding="utf-8")
-    with pytest.raises(InvalidInputError, match=r"row 2, column 1"):
+    with pytest.raises(InvalidInputError, match=r"line 2, column 1"):
         gs.load_data_csv(path)
 
 

@@ -249,22 +249,27 @@ def test_failing_certificate_warning_reports_sweeps_used():
         assert f"did not converge in {sweeps} sweeps " in str(caught[0].message)
 
 
-def _assert_kernel_matches_reference(Q, b, lam, beta, max_passes, tol=1e-9):
+def _assert_kernel_matches_reference(Q, b, lam, beta, max_passes, tol=1e-9, free=True):
     expected_beta, beta = beta.copy(), beta.copy()
-    expected = lasso_gram_cd_reference(Q, b, lam, expected_beta, max_passes, tol)
-    assert _lasso_gram_cd(Q, b, lam, beta, max_passes, tol) == expected
+    expected = lasso_gram_cd_reference(Q, b, lam, expected_beta, max_passes, tol, free)
+    assert _lasso_gram_cd(Q, b, lam, beta, max_passes, tol, free) == expected
     assert np.array_equal(beta, expected_beta)
 
 
 def test_cd_kernel_matches_scalar_reference():
     rng = np.random.default_rng(26)
-    for trial in range(60):
+    for trial in range(90):
         m = int(rng.integers(1, 25))
         Q = random_covariance(rng, m) + 0.1 * np.eye(m)
         b = rng.standard_normal(m)
         lam = float(rng.uniform(0.0, 1.0))
         start = np.zeros(m) if trial % 2 else rng.standard_normal(m) * (rng.random(m) < 0.5)
-        _assert_kernel_matches_reference(Q, b, lam, start, max_passes=1000)
+        free = True
+        if trial % 3 == 2:
+            # a masked coordinate starts at zero, as in a column update
+            free = rng.random(m) < 0.7
+            start[~free] = 0.0
+        _assert_kernel_matches_reference(Q, b, lam, start, 1000, free=free)
 
 
 def test_cd_kernel_edge_cases_match_scalar_reference():
@@ -283,6 +288,94 @@ def test_cd_kernel_edge_cases_match_scalar_reference():
         expected = lasso_gram_cd_reference(Q, b, 0.01, start.copy(), cap, 1e-15)
         assert expected[0] == cap
         _assert_kernel_matches_reference(Q, b, 0.01, start, cap, 1e-15)
+
+
+def test_cd_kernel_masked_coordinate_stays_zero_and_out_of_residual():
+    rng = np.random.default_rng(31)
+    m, out = 10, 4
+    Q = random_covariance(rng, m) + 0.1 * np.eye(m)
+    b = 0.1 * rng.standard_normal(m)
+    b[out] = 50.0  # |g - b| at the masked coordinate stays far above lam
+    free = np.arange(m) != out
+    beta = np.zeros(m)
+    _, resid = _lasso_gram_cd(Q, b, 0.05, beta, 1000, 1e-10, free)
+    assert beta[out] == 0.0 and not np.signbit(beta[out])
+    assert abs((Q @ beta - b)[out]) > 40.0
+    assert resid <= 1e-10
+    # the free coordinates solve the lasso with the masked one removed
+    rest = np.ix_(free, free)
+    alone = np.zeros(m - 1)
+    _lasso_gram_cd(Q[rest], b[free], 0.05, alone, 1000, 1e-10)
+    assert np.array_equal(beta[free] != 0.0, alone != 0.0)
+    assert np.abs(beta[free] - alone).max() <= 1e-9
+
+
+def test_cd_kernel_zero_coordinate_violating_mid_pass_enters_next_pass():
+    # Coordinate 1 satisfies its condition at the start of the first pass
+    # (|0 - b_1| <= lam) and violates it once coordinate 0 has moved.
+    Q = np.array([[1.0, 0.5], [0.5, 1.0]])
+    b = np.array([2.0, -0.3])
+    lam = 0.4
+    beta = np.zeros(2)
+    passes, resid = _lasso_gram_cd(Q, b, lam, beta, 1, 1e-12)
+    assert (passes, beta[0], beta[1]) == (1, 1.6, 0.0)
+    assert resid == pytest.approx(0.7)  # the violation it skipped is reported
+    _lasso_gram_cd(Q, b, lam, beta, 1, 1e-12)
+    assert beta[1] < 0.0
+    beta = np.zeros(2)
+    passes, resid = _lasso_gram_cd(Q, b, lam, beta, 1000, 1e-12)
+    assert beta[0] > 0.0 > beta[1] and resid <= 1e-12 and passes > 2
+
+
+def test_warm_started_grid_path_at_d40_matches_cold_supports():
+    truth = gs.generate_precision(40, 0.08, seed=32)
+    A = gs.empirical_covariance(gs.sample_gaussian(truth, 150, seed=33))
+    warm = None
+    for lam in gs.lambda_grid(A, 10).values:
+        config = gs.SolverConfig(lam=float(lam))
+        result = gs.glasso(A, config, init=warm)
+        warm = result.precision
+        assert result.converged
+        assert result.kkt_residual == gs.kkt_residual(result.precision, A, config)
+        cold = gs.glasso(A, config)
+        assert np.array_equal(_support(result.precision), _support(cold.precision))
+    assert result.block_sizes == (40,)
+
+
+def _thresholded_component_sizes(A, lam):
+    """Component sizes of {|A_ij| > lam} by depth-first search, largest first."""
+    d = A.shape[0]
+    seen = [False] * d
+    sizes = []
+    for start in range(d):
+        if seen[start]:
+            continue
+        seen[start], stack, size = True, [start], 0
+        while stack:
+            i = stack.pop()
+            size += 1
+            for j in range(d):
+                if j != i and not seen[j] and abs(A[i, j]) > lam:
+                    seen[j] = True
+                    stack.append(j)
+        sizes.append(size)
+    return tuple(sorted(sizes, reverse=True))
+
+
+def test_block_sizes_are_the_thresholded_components():
+    rng = np.random.default_rng(34)
+    sizes = (1, 4, 1, 6, 2, 1)
+    blocks = [random_covariance(rng, k, n=3 * k + 2) + 0.5 * np.eye(k) for k in sizes]
+    order = rng.permutation(sum(sizes))
+    A = block_diag(*blocks)[np.ix_(order, order)]
+    assert gs.glasso(A, gs.SolverConfig(lam=0.0)).block_sizes == (15,)
+    assert gs.glasso(A, gs.SolverConfig(lam=1e-9)).block_sizes == (6, 4, 2, 1, 1, 1)
+    top = gs.max_offdiag_abs(A)
+    assert gs.glasso(A, gs.SolverConfig(lam=top)).block_sizes == (1,) * 15
+    for fraction in (0.1, 0.3, 0.5, 0.7):
+        lam = fraction * top
+        config = gs.SolverConfig(lam=lam)
+        assert gs.glasso(A, config).block_sizes == _thresholded_component_sizes(A, lam)
 
 
 def _random_psd_problem(seed, d, n, fraction):
