@@ -27,8 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.sparse.csgraph import connected_components
 
 from .core import check_square_symmetric, symmetrize
 from .errors import InvalidInputError, SingularInputError
@@ -145,17 +143,52 @@ def _cholesky(matrix, err: str) -> np.ndarray:
         raise SingularInputError(err) from None
 
 
-def _chol_logdet(matrix, err: str) -> float:
-    """log det of a PD matrix via Cholesky; raises SingularInputError if not PD."""
-    factor = _cholesky(matrix, err)
+def _factor_logdet(factor) -> float:
+    """log det of L L' from its lower Cholesky factor L."""
     return 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
-def _pd_inverse(matrix, err: str) -> np.ndarray:
-    """Inverse of a PD matrix via Cholesky; raises SingularInputError if not PD."""
+def _chol_logdet(matrix, err: str) -> float:
+    """log det of a PD matrix via Cholesky; raises SingularInputError if not PD."""
+    return _factor_logdet(_cholesky(matrix, err))
+
+
+def _pd_inverse_and_factor(matrix, err: str) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of a PD matrix and its lower Cholesky factor.
+
+    The factor is the PD gate: raises SingularInputError if it fails. The
+    inverse is numpy's LU inverse of the matrix, symmetrized: at d = 50 and
+    d = 100 it is faster than forming L^-T L^-1 from the factor.
+    """
     factor = _cholesky(matrix, err)
-    identity = np.eye(matrix.shape[0])
-    return symmetrize(sla.cho_solve((factor, True), identity))
+    return symmetrize(np.linalg.inv(matrix)), factor
+
+
+def _pd_inverse(matrix, err: str) -> np.ndarray:
+    """Inverse of a PD matrix; raises SingularInputError if not PD."""
+    return _pd_inverse_and_factor(matrix, err)[0]
+
+
+def _components(adjacency) -> np.ndarray:
+    """Connected-component labels of a symmetric boolean adjacency matrix.
+
+    Components are numbered 0, 1, ... in the order of their smallest index.
+    Each round every vertex takes the smallest label among itself and its
+    neighbours, then follows its label's own label (pointer jumping); a
+    label is always a vertex of the same component no larger than the vertex
+    itself, so at the fixed point it is the component's smallest index.
+    """
+    d = adjacency.shape[0]
+    closed = adjacency | np.eye(d, dtype=bool)
+    labels = np.arange(d)
+    while True:
+        smallest = np.where(closed, labels, d).min(axis=1)
+        smallest = smallest[smallest]
+        if np.array_equal(smallest, labels):
+            break
+        labels = smallest
+    roots = labels == np.arange(d)
+    return np.cumsum(roots)[labels] - 1
 
 
 def _penalty(precision, lam, penalize_diagonal) -> float:
@@ -182,6 +215,14 @@ def _subgradient_residual(precision, inverse, A, lam, penalize_diagonal) -> floa
     return float(np.where(nonzero, viol_active, viol_inactive).max())
 
 
+def _objective(precision, logdet, A, config: SolverConfig) -> float:
+    return (
+        float(np.sum(precision * A))
+        - logdet
+        + _penalty(precision, config.lam, config.penalize_diagonal)
+    )
+
+
 def objective_value(precision, A, config: SolverConfig) -> float:
     """Evaluate trace(K A) - log det K + lambda * P(K) at a PD matrix K."""
     precision = check_square_symmetric(precision, "precision matrix")
@@ -189,11 +230,7 @@ def objective_value(precision, A, config: SolverConfig) -> float:
     if precision.shape != A.shape:
         raise InvalidInputError("precision and covariance dimensions differ")
     logdet = _chol_logdet(precision, "precision matrix is not positive definite")
-    return (
-        float(np.sum(precision * A))
-        - logdet
-        + _penalty(precision, config.lam, config.penalize_diagonal)
-    )
+    return _objective(precision, logdet, A, config)
 
 
 def kkt_residual(precision, A, config: SolverConfig) -> float:
@@ -264,10 +301,10 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
                 raise InvalidInputError("warm start dimension differs from covariance")
             _cholesky(init, "warm start is not positive definite")
 
-        n_blocks, labels = connected_components(np.abs(A) > lam, directed=False)
+        labels = _components(np.abs(A) > lam)
         precision = np.zeros_like(A)
         shift = lam if config.penalize_diagonal else 0.0
-        for block in range(n_blocks):
+        for block in range(labels.max() + 1):
             idx = np.flatnonzero(labels == block)
             if idx.size == 1:
                 i = idx[0]
@@ -278,7 +315,9 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
             precision[sub], block_sweeps = _glasso_block(A[sub], config, sub_init)
             sweeps = max(sweeps, block_sweeps)
 
-    inverse = _pd_inverse(precision, "solver produced a non-PD precision matrix")
+    inverse, factor = _pd_inverse_and_factor(
+        precision, "solver produced a non-PD precision matrix"
+    )
     resid = _subgradient_residual(precision, inverse, A, lam, config.penalize_diagonal)
     converged = resid <= config.kkt_tol
     if not converged:
@@ -290,7 +329,7 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
     return SolverResult(
         precision=precision,
         covariance=inverse,
-        objective=objective_value(precision, A, config),
+        objective=_objective(precision, _factor_logdet(factor), A, config),
         kkt_residual=resid,
         sweeps_used=sweeps,
         converged=converged,

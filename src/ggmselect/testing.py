@@ -13,11 +13,11 @@ Testing identifies the zero pattern only; no matrix estimate is produced.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import EdgeSet, SelectionResult, _cov, as_data_matrix, check_square_symmetric, symmetrize
 from .errors import (
@@ -122,7 +122,9 @@ def unadjusted_pvalues(R, n: int, d: int | None = None) -> PValueMatrix:
         )
     z = np.zeros_like(r)
     z[~degenerate] = np.arctanh(r[~degenerate])
-    pvals = 2.0 * special.ndtr(-np.sqrt(n - d - 1) * np.abs(z))
+    # 2 * (1 - Phi(x)) = erfc(x / sqrt(2)); erfc does not cancel in the tail.
+    x = np.sqrt(n - d - 1) * np.abs(z) / math.sqrt(2.0)
+    pvals = np.array([math.erfc(v) for v in x.tolist()])
     pvals[degenerate] = 0.0
     return PValueMatrix(d, np.minimum(pvals, 1.0))
 

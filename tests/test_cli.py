@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -340,3 +341,38 @@ def test_cli_entry_point_runs_as_subprocess(tmp_path, sample_csv):
         env=subprocess_env(),
     )
     assert result.stdout.splitlines()[0] == "alpha = 0.5"
+
+
+def test_cli_commands_import_no_scipy(tmp_path, sample_csv):
+    # A fresh interpreter, so no module this test process loaded can hide one.
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(
+        "d = 6\nedge_prob = 0.2\nsample_sizes = 40\nreplications = 1\n"
+        "alphas = 0.2\nbootstrap = 10\nseed = 1\nmethods = robsel, holm\n",
+        encoding="utf-8",
+    )
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, sys
+        from ggmselect import cli
+
+        runs = [
+            ["robsel", "-i", {str(sample_csv)!r}, "--alpha", "0.3", "--bootstrap", "10",
+             "-o", {str(tmp_path / "r")!r}],
+            ["tune", "-i", {str(sample_csv)!r}, "--method", "ebic", "--grid-size", "3",
+             "-o", {str(tmp_path / "t")!r}],
+            ["experiment", "--config", {str(plan)!r}, "-o", {str(tmp_path / "e")!r}],
+        ]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=subprocess_env(), cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]"]
+    assert (tmp_path / "r.precision.csv").exists()

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cho_solve
+from scipy.sparse.csgraph import connected_components
 
 import ggmselect as gs
 from ggmselect import InvalidInputError, SingularInputError
-from ggmselect.solver import _glasso_block, _lasso_gram_cd
+from ggmselect.solver import _components, _glasso_block, _lasso_gram_cd, _pd_inverse
 
 from helpers import (
     brute_force_objective_d2,
@@ -376,6 +377,62 @@ def test_block_sizes_are_the_thresholded_components():
         lam = fraction * top
         config = gs.SolverConfig(lam=lam)
         assert gs.glasso(A, config).block_sizes == _thresholded_component_sizes(A, lam)
+
+
+def _assert_components_match_scipy(adjacency):
+    n_blocks, expected = connected_components(adjacency, directed=False)
+    labels = _components(adjacency)
+    assert np.array_equal(labels, expected)
+    assert labels.max() + 1 == n_blocks
+
+
+def test_components_match_scipy_on_random_graphs():
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        d = int(rng.integers(1, 40))
+        upper = np.triu(rng.random((d, d)) < rng.uniform(0.0, 0.3), k=1)
+        _assert_components_match_scipy(upper | upper.T)
+
+
+def test_components_match_scipy_on_extreme_graphs():
+    rng = np.random.default_rng(36)
+    for d in (1, 2, 7, 60):
+        _assert_components_match_scipy(np.zeros((d, d), dtype=bool))
+        _assert_components_match_scipy(np.ones((d, d), dtype=bool))
+        # A path has the largest diameter, in index order and shuffled.
+        for order in (np.arange(d), rng.permutation(d)):
+            path = np.zeros((d, d), dtype=bool)
+            path[order[:-1], order[1:]] = True
+            _assert_components_match_scipy(path | path.T)
+
+
+def test_block_sizes_match_scipy_components():
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        d = int(rng.integers(2, 16))
+        A = random_covariance(rng, d, n=int(rng.integers(2, 3 * d)))
+        lam = rng.uniform(0.05, 0.95) * gs.max_offdiag_abs(A)
+        _, labels = connected_components(np.abs(A) > lam, directed=False)
+        expected = tuple(sorted(np.bincount(labels).tolist(), reverse=True))
+        assert gs.glasso(A, gs.SolverConfig(lam=lam)).block_sizes == expected
+
+
+def test_pd_inverse_matches_numpy_and_cholesky_inverses():
+    rng = np.random.default_rng(38)
+    for d in (1, 2, 5, 20, 60):
+        A = random_covariance(rng, d, n=3 * d + 2)
+        inverse = _pd_inverse(A, "not PD")
+        assert np.array_equal(inverse, inverse.T)
+        cholesky_inverse = cho_solve((np.linalg.cholesky(A), True), np.eye(d))
+        for oracle in (np.linalg.inv(A), cholesky_inverse):
+            assert np.abs(inverse - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_pd_inverse_rejects_non_pd_input_with_given_message():
+    rank_two = random_covariance(np.random.default_rng(39), 5, n=3)
+    for matrix in (rank_two - 0.01 * np.eye(5), np.array([[1.0, 2.0], [2.0, 1.0]]), -np.eye(3)):
+        with pytest.raises(SingularInputError, match="^covariance is not PD$"):
+            _pd_inverse(matrix, "covariance is not PD")
 
 
 def _random_psd_problem(seed, d, n, fraction):

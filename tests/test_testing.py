@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import ggmselect as gs
 from ggmselect import DegenerateCorrelationWarning, InvalidInputError, NotApplicableError
@@ -105,6 +106,31 @@ def test_pvalues_match_erfc_oracle():
         z = abs(math.atanh(R[i, j]))
         expected = math.erfc(scale * z / math.sqrt(2.0))
         assert abs(pmatrix.unadjusted[k] - expected) <= 1e-12
+
+
+def test_pvalues_match_scipy_normal_tail_oracle():
+    # Partial correlations from 0 to 1 - 1e-15 push x = sqrt(n - d - 1)|z|
+    # from 0 past the underflow of the tail near x = 38.6.
+    d = 40
+    m = d * (d - 1) // 2
+    r = np.concatenate(
+        [[0.0], np.linspace(1e-9, 0.999, m - 41), 1.0 - np.logspace(-3, -15, 40)]
+    )
+    r *= np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    R = np.eye(d)
+    rows, cols = np.triu_indices(d, k=1)
+    R[rows, cols] = r
+    R[cols, rows] = r
+    smallest = 1.0
+    for n in (d + 2, 100, 5000):
+        pvals = gs.unadjusted_pvalues(R, n).unadjusted
+        expected = 2.0 * ndtr(-np.sqrt(n - d - 1) * np.abs(np.arctanh(r)))
+        assert pvals[0] == 1.0
+        tail = expected >= 1e-300
+        np.testing.assert_allclose(pvals[tail], expected[tail], rtol=1e-12, atol=0.0)
+        assert np.all(pvals[~tail] < 1e-299)
+        smallest = min(smallest, expected[tail].min())
+    assert smallest < 1e-290
 
 
 def test_pvalues_not_applicable_when_sample_too_small():
