@@ -10,7 +10,7 @@ The problem first splits into the connected components of the thresholded
 covariance {|A_ij| > lambda}, which are exactly the diagonal blocks of the
 solution. Each block of two or more variables is solved by block coordinate
 descent over columns: each column update is a lasso problem on the
-partitioned system, solved by coordinate descent.
+partitioned system, solved exactly by feature-sign search.
 Optimality is certified by the max-norm violation of the subgradient
 conditions
 
@@ -32,65 +32,79 @@ from .core import check_square_symmetric, symmetrize
 from .errors import InvalidInputError, SingularInputError
 
 
-def _lasso_gram_cd(Q, b, lam, beta, max_passes, tol, free=True):
-    """Coordinate descent for min_beta 0.5*beta'Q beta - b'beta + lam*||beta||_1.
+#: Cap on the solve steps of one column subproblem; a step adds a coordinate
+#: or moves along one segment. Exact arithmetic ends in finitely many steps,
+#: and the cap only bounds a cycle that rounding could start.
+_MAX_STEPS = 1000
 
-    ``Q`` must be exactly symmetric. ``beta`` is updated in place (warm
-    start). ``free`` is a boolean mask of the coordinates solved for (True,
-    the default, frees all of them); the others must start at 0.0, stay
-    exactly 0.0 and do not enter the residual. Returns (passes, residual)
-    where residual is the max-norm subgradient violation over the free
-    coordinates. Iterates until the residual is within ``tol`` and the last
-    pass changed no support entry, so that coefficients at exactly zero stay
-    exactly zero.
 
-    Each pass is screened: from the gradient ``g - b`` at its start it
-    visits, in index order, only the free coordinates that are nonzero or
-    violate their optimality condition ``|g_i - b_i| <= lam``; any other
-    coordinate would be updated to the zero it already holds. A coordinate
-    that starts to violate during a pass is visited on the next one, and the
-    stop rule checks every free coordinate.
+def _feature_sign(Q, b, lam, beta, tol, free=True):
+    """Feature-sign search for min_beta 0.5*beta'Q beta - b'beta + lam*||beta||_1.
 
-    The coordinate loop runs on Python floats; each update moves the whole
-    gradient with one vector operation, ``g += Q[i] * delta``, which by the
-    symmetry of ``Q`` does the same multiply and add per element as updating
-    along column ``i``.
+    ``Q`` must be exactly symmetric and positive definite. ``beta`` is
+    updated in place from its warm start. ``free`` is a boolean mask of the
+    coordinates solved for (True, the default, frees all of them); the
+    others must start at 0.0 and stay exactly 0.0. Returns ``Q @ beta``,
+    computed from the nonzero coefficients alone.
+
+    Lee, Battle, Raina & Ng (2007, "Efficient sparse coding algorithms"):
+    on the support S with signs theta, solve Q_SS beta_S = b_S - lam*theta.
+    If a sign flips, move to the lowest objective among the zero crossings
+    of the segment from the current point and its end, drop the zeros and
+    solve again. Once the signs hold, every nonzero coordinate is optimal;
+    add the free zero coordinate whose condition |(Q beta - b)_i| <= lam is
+    violated most, with the sign that descends, while that violation exceeds
+    ``tol``. Each step lowers the objective, so the search ends in finitely
+    many steps.
+
+    Raises SingularInputError if Q_SS is singular.
     """
-    g = Q @ beta
-    diag = Q.diagonal().tolist()
-    rhs = b.tolist()
-    coef = beta.tolist()
-    grad = g - b
-    resid = np.inf
-    for p in range(max_passes):
-        visit = ((beta != 0.0) | (np.abs(grad) > lam)) & free
-        support_changed = False
-        for i in np.flatnonzero(visit).tolist():
-            old = coef[i]
-            qii = diag[i]
-            u = rhs[i] - (float(g[i]) - qii * old)
-            if u > lam:
-                new = (u - lam) / qii
-            elif u < -lam:
-                new = (u + lam) / qii
-            else:
-                new = 0.0
-            if new != old:
-                g += Q[i] * (new - old)
-                coef[i] = new
-                if (old == 0.0) != (new == 0.0):
-                    support_changed = True
-        beta[:] = coef
-        grad = g - b
-        violation = np.where(
-            beta == 0.0,
-            np.maximum(np.abs(grad) - lam, 0.0),
-            np.abs(grad + np.where(beta > 0.0, lam, -lam)),
-        )
-        resid = float(violation.max(initial=0.0, where=free))
-        if resid <= tol and not support_changed:
-            return p + 1, resid
-    return max_passes, resid
+    support = beta.nonzero()[0]
+    theta = np.sign(beta[support])
+    for _ in range(_MAX_STEPS):
+        if support.size:
+            block = Q[support[:, None], support]
+            rhs = b[support]
+            try:
+                target = np.linalg.solve(block, rhs - lam * theta)
+            except np.linalg.LinAlgError:
+                raise SingularInputError(
+                    "working covariance is singular on a column's active set; "
+                    "the input may be too ill-conditioned"
+                ) from None
+            if (target * theta).min() <= 0.0:
+                coef = _segment_search(block, rhs, lam, beta[support], target)
+                beta[support] = coef
+                support = support[coef != 0.0]
+                theta = np.sign(beta[support])
+                continue
+            beta[support] = target
+        w = beta[support] @ Q[support]
+        violation = np.abs(w - b)
+        violation[support] = 0.0
+        violation *= free
+        i = violation.argmax()
+        if violation[i] <= lam + tol:
+            return w
+        support = np.append(support, i)
+        theta = np.append(theta, -np.sign(w[i] - b[i]))
+    return beta[support] @ Q[support]
+
+
+def _segment_search(Q, b, lam, start, end):
+    """Point of lowest objective among the segment's zero crossings and its end.
+
+    ``start`` has no zero (or is zero only where a coordinate just entered);
+    each coordinate that changes sign on the way crosses zero once, and at
+    its crossing it is set to exactly 0.0.
+    """
+    step = end - start
+    crosses = np.flatnonzero((start != 0.0) & (np.sign(end) != np.sign(start)))
+    t = np.append(-start[crosses] / step[crosses], 1.0)
+    points = start + t[:, None] * step
+    points[np.arange(crosses.size), crosses] = 0.0
+    values = ((0.5 * points @ Q - b) * points + lam * np.abs(points)).sum(axis=1)
+    return points[values.argmin()]
 
 
 @dataclass
@@ -266,7 +280,7 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
         ``converged`` is True when the certified KKT residual (recomputed
         from the exact inverse of the returned K) is within ``kkt_tol``;
         every solve, lambda = 0 included, warns when it is not. When
-        ``max_sweeps`` is exhausted the best iterate is returned with
+        ``max_sweeps`` is exhausted the last iterate is returned with
         ``converged=False``.
 
     Notes
@@ -350,8 +364,9 @@ def _glasso_block(A, config: SolverConfig, init):
         except SingularInputError:
             # The working covariance of a warm start from a larger penalty can
             # lie outside the box |W_ij - A_ij| <= lambda of this one, and a
-            # column update then has no PD solution. The cold start always
-            # has one, and the optimum is unique.
+            # column update then has no PD solution or a singular active
+            # block. The cold start always has a PD solution, and the optimum
+            # is unique.
             pass
     return _column_sweeps(A, config, None)
 
@@ -360,12 +375,15 @@ def _column_sweeps(A, config: SolverConfig, init):
     """Sweeps of column updates until the full-matrix certificate holds.
 
     The update of column j solves the lasso of A[:, j] on the working
-    covariance W with coordinate j held at zero; it runs on the whole of W,
-    with a mask that leaves j out, so no (d-1)x(d-1) block is copied. Its
-    solution beta gives W[:, j] = W @ beta (with W_jj kept) and the column
-    of the precision matrix, written into row and column j alike. W, A and
-    the precision iterate are exactly symmetric, so their rows are read in
-    place of their columns. Returns (precision, sweeps used).
+    covariance W with coordinate j held at zero, exactly, by feature-sign
+    search warm-started from the current column of the precision iterate.
+    It runs on the whole of W, with a mask that leaves j out, so no
+    (d-1)x(d-1) block is copied. Its solution beta gives W[:, j] = W @ beta,
+    which the search returns (with W_jj kept), and the column of the
+    precision matrix, written into row and column j alike. W, A and the
+    precision iterate are exactly symmetric, so their rows are read in place
+    of their columns. A cold start begins every column at beta = 0. Only the
+    full-matrix certificate ends the sweeps. Returns (precision, sweeps used).
     """
     d = A.shape[0]
     lam = float(config.lam)
@@ -384,21 +402,21 @@ def _column_sweeps(A, config: SolverConfig, init):
             # Shrinking off-diagonals keeps W = 0.95*A + 0.05*diag(A) positive
             # definite whenever A is PSD with positive diagonal.
             W = 0.95 * A + 0.05 * np.diag(np.diag(A))
-        precision = _pd_inverse(W, "failed to invert the initial working covariance")
+        _cholesky(W, "initial working covariance is not positive definite")
+        # Every column starts from beta = 0, which feature-sign search grows
+        # one coordinate at a time; a dense start would shed its coordinates
+        # one zero crossing at a time instead.
+        precision = np.diag(1.0 / np.diag(W))
 
     inner_tol = 0.1 * config.kkt_tol
-    inner_max = 1000
     indices = np.arange(d)
-    best_resid = np.inf
-    stalls = 0
     sweeps = 0
 
     for sweeps in range(1, config.max_sweeps + 1):
         for j in range(d):
             beta = precision[j] / -precision[j, j]
             beta[j] = 0.0
-            _lasso_gram_cd(W, A[j], lam, beta, inner_max, inner_tol, indices != j)
-            w12 = W @ beta
+            w12 = _feature_sign(W, A[j], lam, beta, inner_tol, indices != j)
             w12[j] = W[j, j]
             W[:, j] = w12
             W[j] = w12
@@ -423,14 +441,5 @@ def _column_sweeps(A, config: SolverConfig, init):
         resid = _subgradient_residual(precision, inverse, A, lam, config.penalize_diagonal)
         if resid <= config.kkt_tol:
             break
-        # Tighten the subproblem tolerance if the certified residual stalls.
-        if resid >= 0.999 * best_resid:
-            stalls += 1
-        else:
-            stalls = 0
-        best_resid = min(best_resid, resid)
-        if stalls >= 3 and inner_tol > 1e-14:
-            inner_tol *= 0.01
-            stalls = 0
 
     return precision, sweeps

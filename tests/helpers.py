@@ -63,13 +63,16 @@ def brute_force_objective_d2(A, lam, penalize_diagonal, grid_points=17, cycles=1
 def lasso_gram_cd_reference(Q, b, lam, beta, max_passes, tol, free=True):
     """Scalar coordinate descent for 0.5*beta'Q beta - b'beta + lam*||beta||_1.
 
-    Element-at-a-time reference for ``ggmselect.solver._lasso_gram_cd``: at
-    the start of each pass every free coordinate is checked on its own and
-    kept for the pass if it is nonzero or ``|g_i - b_i| > lam``; the kept
-    ones are updated in index order, the gradient along column ``i`` one
-    entry per step, and the residual over the free coordinates is a scalar
-    loop. ``free`` is a boolean mask or True (all free). Updates ``beta`` in
-    place and returns (passes, residual) under the same stopping rule.
+    Independent oracle for ``ggmselect.solver._feature_sign``, which solves
+    the same problem by another method: run to a tight ``tol``, it gives the
+    objective the kernel must reach. At the start of each pass every free
+    coordinate is checked on its own and kept for the pass if it is nonzero
+    or ``|g_i - b_i| > lam``; the kept ones are updated in index order, the
+    gradient along column ``i`` one entry per step, and the residual over
+    the free coordinates is a scalar loop. ``free`` is a boolean mask or
+    True (all free). Updates ``beta`` in place and returns (passes,
+    residual): it stops once the residual is within ``tol`` after a pass
+    that changed no support entry.
     """
     m = beta.shape[0]
     free = np.broadcast_to(free, m).tolist()

@@ -71,6 +71,20 @@ def test_fit_singular_input_is_runtime_failure(tmp_path, capsys):
     assert not list(tmp_path.glob("out*"))  # nothing partial left behind
 
 
+def test_fit_singular_active_block_is_runtime_failure(
+    tmp_path, sample_csv, capsys, monkeypatch
+):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    prefix = tmp_path / "out"
+    assert run_cli(["fit", "-i", sample_csv, "--lambda", "0.05", "-o", prefix]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SingularInputError: working covariance is singular")
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_invalid_parameter_is_usage_error(sample_csv, capsys):
     code = run_cli(["robsel", "-i", sample_csv, "--alpha", "1.5"])
     assert code == 2

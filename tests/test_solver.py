@@ -9,7 +9,8 @@ from scipy.sparse.csgraph import connected_components
 
 import ggmselect as gs
 from ggmselect import InvalidInputError, SingularInputError
-from ggmselect.solver import _components, _glasso_block, _lasso_gram_cd, _pd_inverse
+from ggmselect import solver
+from ggmselect.solver import _components, _feature_sign, _glasso_block, _pd_inverse
 
 from helpers import (
     brute_force_objective_d2,
@@ -250,14 +251,41 @@ def test_failing_certificate_warning_reports_sweeps_used():
         assert f"did not converge in {sweeps} sweeps " in str(caught[0].message)
 
 
-def _assert_kernel_matches_reference(Q, b, lam, beta, max_passes, tol=1e-9, free=True):
-    expected_beta, beta = beta.copy(), beta.copy()
-    expected = lasso_gram_cd_reference(Q, b, lam, expected_beta, max_passes, tol, free)
-    assert _lasso_gram_cd(Q, b, lam, beta, max_passes, tol, free) == expected
-    assert np.array_equal(beta, expected_beta)
+def _lasso_objective(Q, b, lam, beta):
+    return 0.5 * float(beta @ Q @ beta) - float(b @ beta) + lam * float(np.abs(beta).sum())
 
 
-def test_cd_kernel_matches_scalar_reference():
+def _lasso_kkt_residual(Q, b, lam, beta, free=True):
+    """Max-norm subgradient violation of the lasso over the free coordinates."""
+    grad = Q @ beta - b
+    violation = np.where(
+        beta == 0.0,
+        np.maximum(np.abs(grad) - lam, 0.0),
+        np.abs(grad + lam * np.sign(beta)),
+    )
+    return float(violation.max(initial=0.0, where=free))
+
+
+def _assert_kernel_optimal(Q, b, lam, start, free=True, tol=1e-9):
+    """The kernel's answer is optimal beside the scalar CD oracle run to 1e-14.
+
+    Returns the kernel's coefficients.
+    """
+    beta, oracle = start.copy(), start.copy()
+    product = _feature_sign(Q, b, lam, beta, tol, free)
+    lasso_gram_cd_reference(Q, b, lam, oracle, 100_000, 1e-14, free)
+    best = _lasso_objective(Q, b, lam, oracle)
+    scale = max(1.0, abs(best))
+    assert _lasso_objective(Q, b, lam, beta) <= best + 1e-12 * scale
+    assert _lasso_kkt_residual(Q, b, lam, beta, free) <= tol
+    masked = ~np.broadcast_to(free, beta.shape)
+    assert np.all(beta[masked] == 0.0) and not np.signbit(beta[masked]).any()
+    exact = Q @ beta
+    assert np.abs(product - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+    return beta
+
+
+def test_kernel_optimal_against_scalar_oracle():
     rng = np.random.default_rng(26)
     for trial in range(90):
         m = int(rng.integers(1, 25))
@@ -270,62 +298,127 @@ def test_cd_kernel_matches_scalar_reference():
             # a masked coordinate starts at zero, as in a column update
             free = rng.random(m) < 0.7
             start[~free] = 0.0
-        _assert_kernel_matches_reference(Q, b, lam, start, 1000, free=free)
+        _assert_kernel_optimal(Q, b, lam, start, free)
 
 
-def test_cd_kernel_edge_cases_match_scalar_reference():
+def test_kernel_edge_cases_optimal_against_scalar_oracle():
     rng = np.random.default_rng(27)
     Q1 = np.array([[2.5]])
     for b1 in (-1.0, 0.2, 3.0):
         for start in (0.0, -0.7):
-            _assert_kernel_matches_reference(Q1, np.array([b1]), 0.5, np.array([start]), 1000)
-    Q = random_covariance(rng, 12) + 0.1 * np.eye(12)
-    b = rng.standard_normal(12)
-    start = rng.standard_normal(12)
-    # every coefficient is driven to zero from a dense warm start
-    _assert_kernel_matches_reference(Q, b, 10.0 * np.abs(b).max(), start, 1000)
-    # the pass cap stops the loop before the tolerance is met
-    for cap in (1, 2, 3):
-        expected = lasso_gram_cd_reference(Q, b, 0.01, start.copy(), cap, 1e-15)
-        assert expected[0] == cap
-        _assert_kernel_matches_reference(Q, b, 0.01, start, cap, 1e-15)
+            _assert_kernel_optimal(Q1, np.array([b1]), 0.5, np.array([start]))
+    for _ in range(5):
+        Q = random_covariance(rng, 12) + 0.1 * np.eye(12)
+        b = rng.standard_normal(12)
+        # every coefficient is driven to zero from a dense warm start
+        beta = _assert_kernel_optimal(Q, b, np.abs(b).max(), rng.standard_normal(12))
+        assert np.all(beta == 0.0)
+        beta = _assert_kernel_optimal(Q, b, 10.0 * np.abs(b).max(), rng.standard_normal(12))
+        assert np.all(beta == 0.0)
 
 
-def test_cd_kernel_masked_coordinate_stays_zero_and_out_of_residual():
+def test_kernel_masked_coordinate_stays_zero_and_out_of_residual():
     rng = np.random.default_rng(31)
     m, out = 10, 4
     Q = random_covariance(rng, m) + 0.1 * np.eye(m)
     b = 0.1 * rng.standard_normal(m)
     b[out] = 50.0  # |g - b| at the masked coordinate stays far above lam
     free = np.arange(m) != out
-    beta = np.zeros(m)
-    _, resid = _lasso_gram_cd(Q, b, 0.05, beta, 1000, 1e-10, free)
-    assert beta[out] == 0.0 and not np.signbit(beta[out])
+    beta = _assert_kernel_optimal(Q, b, 0.05, np.zeros(m), free, tol=1e-10)
     assert abs((Q @ beta - b)[out]) > 40.0
-    assert resid <= 1e-10
     # the free coordinates solve the lasso with the masked one removed
     rest = np.ix_(free, free)
-    alone = np.zeros(m - 1)
-    _lasso_gram_cd(Q[rest], b[free], 0.05, alone, 1000, 1e-10)
+    alone = _assert_kernel_optimal(Q[rest], b[free], 0.05, np.zeros(m - 1), tol=1e-10)
     assert np.array_equal(beta[free] != 0.0, alone != 0.0)
     assert np.abs(beta[free] - alone).max() <= 1e-9
 
 
-def test_cd_kernel_zero_coordinate_violating_mid_pass_enters_next_pass():
-    # Coordinate 1 satisfies its condition at the start of the first pass
-    # (|0 - b_1| <= lam) and violates it once coordinate 0 has moved.
+def test_kernel_zero_coordinate_violating_after_a_step_enters():
+    # Coordinate 1 satisfies its condition at the start (|0 - b_1| <= lam)
+    # and violates it once coordinate 0 has entered.
     Q = np.array([[1.0, 0.5], [0.5, 1.0]])
     b = np.array([2.0, -0.3])
     lam = 0.4
-    beta = np.zeros(2)
-    passes, resid = _lasso_gram_cd(Q, b, lam, beta, 1, 1e-12)
-    assert (passes, beta[0], beta[1]) == (1, 1.6, 0.0)
-    assert resid == pytest.approx(0.7)  # the violation it skipped is reported
-    _lasso_gram_cd(Q, b, lam, beta, 1, 1e-12)
-    assert beta[1] < 0.0
-    beta = np.zeros(2)
-    passes, resid = _lasso_gram_cd(Q, b, lam, beta, 1000, 1e-12)
-    assert beta[0] > 0.0 > beta[1] and resid <= 1e-12 and passes > 2
+    beta = _assert_kernel_optimal(Q, b, lam, np.zeros(2), tol=1e-12)
+    assert beta[0] > 0.0 > beta[1]
+    assert np.allclose(beta, np.linalg.solve(Q, b - lam * np.array([1.0, -1.0])))
+
+
+def test_kernel_wrong_warm_start_signs_take_a_zero_crossing(monkeypatch):
+    Q = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+    b = np.array([0.05, -0.8, 0.05])
+    # Both nonzero signs are wrong. Solving on them sends coordinate 0 past
+    # zero, where its optimum lies since |b_0| < lam.
+    start = np.array([-0.5, 0.2, 0.0])
+    taken = []
+
+    def recording(*args):
+        point = segment_search(*args)
+        taken.append(point)
+        return point
+
+    segment_search = solver._segment_search
+    monkeypatch.setattr(solver, "_segment_search", recording)
+    beta = _assert_kernel_optimal(Q, b, 0.1, start, tol=1e-12)
+    assert taken and any(np.any(point == 0.0) for point in taken)
+    oracle = start.copy()
+    lasso_gram_cd_reference(Q, b, 0.1, oracle, 100_000, 1e-14)
+    assert np.array_equal(np.sign(beta), np.sign(oracle))
+    assert np.abs(beta - oracle).max() <= 1e-12
+
+
+def test_kernel_step_cap_returns_and_glasso_reports_not_converged(monkeypatch):
+    rng = np.random.default_rng(40)
+    Q = random_covariance(rng, 8) + 0.1 * np.eye(8)
+    b = rng.standard_normal(8)
+    monkeypatch.setattr(solver, "_MAX_STEPS", 1)
+    beta = rng.standard_normal(8)
+    product = _feature_sign(Q, b, 0.01, beta, 1e-9)
+    assert np.abs(product - Q @ beta).max() <= 1e-12 * np.abs(Q @ beta).max()
+    assert _lasso_kkt_residual(Q, b, 0.01, beta) > 1e-9
+
+    A = random_covariance(rng, 8)
+    config = gs.SolverConfig(lam=0.05 * gs.max_offdiag_abs(A), max_sweeps=20)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = gs.glasso(A, config)
+    messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(messages) == 1 and "did not converge in 20 sweeps" in messages[0]
+    assert not result.converged and result.sweeps_used == 20
+
+
+def _failing_solve(monkeypatch, failures):
+    """Make the first ``failures`` calls of np.linalg.solve raise LinAlgError."""
+    solve = np.linalg.solve
+    calls = []
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", flaky)
+    return calls
+
+
+def test_kernel_singular_active_block_raises_singular_input(monkeypatch):
+    _failing_solve(monkeypatch, 1)
+    Q = np.eye(3)
+    with pytest.raises(SingularInputError, match="singular on a column's active set"):
+        _feature_sign(Q, np.ones(3), 0.1, np.ones(3), 1e-9)
+
+
+def test_singular_active_block_on_warm_start_falls_back_to_cold_start(monkeypatch):
+    A = random_covariance(np.random.default_rng(41), 6)
+    config = gs.SolverConfig(lam=0.1 * gs.max_offdiag_abs(A))
+    init = gs.glasso(A, gs.SolverConfig(lam=0.5 * gs.max_offdiag_abs(A))).precision
+    cold = gs.glasso(A, config)
+    calls = _failing_solve(monkeypatch, 1)
+    warm = gs.glasso(A, config, init=init)
+    assert len(calls) > 1
+    assert warm.converged
+    assert np.array_equal(warm.precision, cold.precision)
 
 
 def test_warm_started_grid_path_at_d40_matches_cold_supports():
