@@ -10,11 +10,10 @@ resampled uniformly in [1, 1.5].
 
 from __future__ import annotations
 
-import inspect
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -57,9 +56,12 @@ class GroundTruth:
 
 @dataclass
 class ExperimentPlan:
-    """The sweep definition: one fixed ground truth, many (n, replicate) cells.
+    """The sweep definition: one fixed ground truth, many (n, replicate)
+    cells, and the methods, solver and tuning settings every cell runs with.
 
-    The defaults are the sweep a plan file without keys describes.
+    Each field is one plan-file key (``bootstrap`` sets ``B``). The defaults
+    are the sweep a plan file without keys describes; the solver fields take
+    theirs from ``SolverConfig``.
     """
 
     d: int = 50
@@ -69,6 +71,14 @@ class ExperimentPlan:
     alphas: list[float] = field(default_factory=lambda: [0.05, 0.1])
     B: int = RobselConfig.B
     seed: int = 0
+    methods: list[str] = field(default_factory=lambda: ["robsel", "holm"])
+    penalize_diagonal: bool = SolverConfig.penalize_diagonal
+    kkt_tol: float = SolverConfig.kkt_tol
+    max_sweeps: int = SolverConfig.max_sweeps
+    zero_tol: float = DEFAULT_ZERO_TOL
+    folds: int = 5
+    gamma: float = 0.5
+    grid_size: int = 10
 
     def __post_init__(self):
         if self.d < 2:
@@ -85,6 +95,28 @@ class ExperimentPlan:
             raise InvalidInputError("bootstrap count must be >= 1")
         if self.seed < 0:
             raise InvalidInputError("seed must be nonnegative")
+        if not self.methods:
+            raise InvalidInputError(f"methods must name at least one of {KNOWN_METHODS}")
+        for method in self.methods:
+            if method not in KNOWN_METHODS:
+                raise InvalidInputError(
+                    f"unknown method {method!r}; expected a subset of {KNOWN_METHODS}"
+                )
+        # A repeated value would copy cells and shrink the standard errors.
+        for name in ("sample_sizes", "alphas", "methods"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise InvalidInputError(f"repeated value in {name}: {list(values)}")
+        self.solver(0.0)  # checks the solver fields
+
+    def solver(self, lam: float) -> SolverConfig:
+        """The configuration of a glasso fit at ``lam`` in this sweep."""
+        return SolverConfig(
+            lam=lam,
+            penalize_diagonal=self.penalize_diagonal,
+            kkt_tol=self.kkt_tol,
+            max_sweeps=self.max_sweeps,
+        )
 
 
 def generate_precision(d: int, edge_prob: float, seed: int, max_retries: int = 100) -> GroundTruth:
@@ -205,7 +237,6 @@ class ExperimentReport:
     """Tidy replicate-level records plus per-cell aggregates."""
 
     plan: ExperimentPlan
-    methods: tuple
     records: list
 
     def summaries(self) -> list[CellSummary]:
@@ -244,16 +275,16 @@ def _child_seed(*keys) -> int:
     return int(np.random.SeedSequence(list(keys)).generate_state(1, dtype=np.uint64)[0])
 
 
-def _cells(plan, methods) -> list:
+def _cells(plan) -> list:
     """The (method, alpha) cells of one replicate, in report order."""
     return [
         (method, alpha)
-        for method in methods
+        for method in plan.methods
         for alpha in ([None] if method in _TUNED_METHODS else plan.alphas)
     ]
 
 
-def _select(method, data, A, plan, options, keys) -> list:
+def _select(method, data, A, plan, keys) -> list:
     """(alpha, lambda, edges or None) for each cell of ``method`` on one
     sample; a cell without edges is fitted by the caller at its lambda."""
     if method == "robsel":
@@ -274,24 +305,23 @@ def _select(method, data, A, plan, options, keys) -> list:
             return EdgeSet(data.d, frozenset(pairs[k] for k in np.flatnonzero(adjusted <= alpha)))
 
         return [(alpha, None, rejected(alpha)) for alpha in plan.alphas]
-    grid = lambda_grid(A, options["grid_size"])
-    solver = options["solver"]
+    grid = lambda_grid(A, plan.grid_size)
     if method == "cv":
         tuned = cv_select(
             data,
-            folds=options["folds"],
+            folds=plan.folds,
             grid=grid,
-            solver_config=solver,
+            solver_config=plan.solver(0.0),
             seed=_child_seed(*keys, 3),
         )
     else:
         tuned = ebic_select(
-            data, grid, gamma=options["gamma"], solver_config=solver, zero_tol=options["zero_tol"]
+            data, grid, gamma=plan.gamma, solver_config=plan.solver(0.0), zero_tol=plan.zero_tol
         )
     return [(None, tuned.chosen_lambda, None)]
 
 
-def _run_replicate(plan, methods, truth, n, replicate, options) -> list:
+def _run_replicate(plan, truth, n, replicate, record_timings) -> list:
     """All method cells for one (n, replicate) pair; pure given its seeds."""
     keys = (plan.seed, n, replicate)
     data = sample_gaussian(truth, n, _child_seed(*keys, 1))
@@ -306,10 +336,10 @@ def _run_replicate(plan, methods, truth, n, replicate, options) -> list:
 
     # (method, alpha) -> (edges, lambda or None, runtime)
     outcomes: dict[tuple, tuple] = {}
-    for method in [m for m in KNOWN_METHODS if m in methods]:
+    for method in [m for m in KNOWN_METHODS if m in plan.methods]:
         start = time.perf_counter()
         try:
-            cells = _select(method, data, A, plan, options, keys)
+            cells = _select(method, data, A, plan, keys)
         except NotApplicableError:
             continue  # emitted as not-applicable cells
         except Exception as exc:
@@ -320,15 +350,15 @@ def _run_replicate(plan, methods, truth, n, replicate, options) -> list:
             start = time.perf_counter()
             if edges is None:
                 try:
-                    fit = glasso(A, replace(options["solver"], lam=lam))
-                    edges = edges_from_precision(fit.precision, options["zero_tol"])
+                    fit = glasso(A, plan.solver(lam))
+                    edges = edges_from_precision(fit.precision, plan.zero_tol)
                 except Exception as exc:
                     fail(method, alpha, exc)
                     continue
             outcomes[(method, alpha)] = (edges, lam, select_share + time.perf_counter() - start)
 
     records = []
-    for method, alpha in _cells(plan, methods):
+    for method, alpha in _cells(plan):
         if (method, alpha) not in outcomes:
             records.append(ReplicateRecord(method, n, alpha, replicate))
             continue
@@ -348,61 +378,37 @@ def _run_replicate(plan, methods, truth, n, replicate, options) -> list:
                 jaccard_vs_truth=scores.jaccard,
                 jaccard_robsel_holm=None if holm is None else jaccard(edges, holm[0]),
                 lam=lam,
-                runtime_seconds=runtime if options["record_timings"] else None,
+                runtime_seconds=runtime if record_timings else None,
             )
         )
     return records
 
 
 def run_experiment(
-    plan: ExperimentPlan,
-    methods=("robsel", "holm"),
-    solver_config: SolverConfig | None = None,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    folds: int = 5,
-    gamma: float = 0.5,
-    grid_size: int = 10,
-    threads: int = 1,
-    record_timings: bool = False,
-    log=None,
+    plan: ExperimentPlan, threads: int = 1, record_timings: bool = False, log=None
 ) -> ExperimentReport:
-    """Run the replicated sweep and collect the tidy report.
+    """Run the replicated sweep ``plan`` on up to ``threads`` pool threads
+    and collect the tidy report.
 
     Per-replicate RNG streams are keyed by (seed, n, replicate), so the
     report does not depend on the parallel schedule. A failure is recorded
     as not-applicable cells, only those of the method (or, for a fit, the
-    alpha) it happened in, and never aborts the sweep.
+    alpha) it happened in, and never aborts the sweep. ``record_timings``
+    fills ``runtime_seconds``; ``log``, if given, receives one line per
+    (n, replicate) task.
     """
-    methods = tuple(methods)
-    for method in methods:
-        if method not in KNOWN_METHODS:
-            raise InvalidInputError(
-                f"unknown method {method!r}; expected a subset of {KNOWN_METHODS}"
-            )
-    if len(set(methods)) != len(methods):
-        raise InvalidInputError("duplicate methods requested")
-
     truth = generate_precision(plan.d, plan.edge_prob, plan.seed)
-    options = {
-        "solver": solver_config if solver_config is not None else SolverConfig(lam=0.0),
-        "zero_tol": zero_tol,
-        "folds": folds,
-        "gamma": gamma,
-        "grid_size": grid_size,
-        "record_timings": record_timings,
-    }
-
     tasks = [(n, r) for n in plan.sample_sizes for r in range(1, plan.replications + 1)]
 
     def one_task(task):
         n, replicate = task
         try:
-            records = _run_replicate(plan, methods, truth, n, replicate, options)
+            records = _run_replicate(plan, truth, n, replicate, record_timings)
         except Exception as exc:  # record the failed cell, keep sweeping
             sys.stderr.write(f"warning: replicate (n={n}, r={replicate}) failed: {exc}\n")
             records = [
                 ReplicateRecord(method, n, alpha, replicate)
-                for method, alpha in _cells(plan, methods)
+                for method, alpha in _cells(plan)
             ]
         if log is not None:
             log(f"cell n={n} replicate={replicate}: {len(records)} rows")
@@ -414,7 +420,7 @@ def run_experiment(
     records.sort(
         key=lambda r: (r.method, r.n, _alpha_key(r.alpha), r.replicate)
     )
-    return ExperimentReport(plan=plan, methods=methods, records=records)
+    return ExperimentReport(plan=plan, records=records)
 
 
 def write_replicates_csv(report: ExperimentReport, path) -> None:
@@ -440,21 +446,16 @@ def write_summary_csv(report: ExperimentReport, path) -> None:
 
 
 def _plan_defaults() -> dict:
-    """Plan-file key -> the default of the setting it overrides, which also
-    gives the type the key is parsed as."""
+    """Plan-file key -> its default, which also gives the type the key is
+    parsed as."""
     defaults = asdict(ExperimentPlan())
     defaults["bootstrap"] = defaults.pop("B")
-    defaults.update(asdict(SolverConfig(lam=0.0)))
-    del defaults["lam"]
-    keywords = inspect.signature(run_experiment).parameters
-    for key in ("methods", "zero_tol", "folds", "gamma", "grid_size"):
-        defaults[key] = keywords[key].default
     return defaults
 
 
 def _parse_plan_value(key, raw, default):
-    """``raw`` read as the type of ``default``; a list or tuple as a
-    comma-separated list of the type of its first item."""
+    """``raw`` read as the type of ``default``; a list as a comma-separated
+    list of the type of its first item."""
     raw = raw.strip()
     try:
         if isinstance(default, bool):
@@ -463,7 +464,7 @@ def _parse_plan_value(key, raw, default):
             if raw.lower() in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        if isinstance(default, (list, tuple)):
+        if isinstance(default, list):
             kind = type(default[0])
             return [kind(tok.strip()) for tok in raw.split(",") if tok.strip()]
         return type(default)(raw)
@@ -471,15 +472,13 @@ def _parse_plan_value(key, raw, default):
         raise InvalidInputError(f"invalid value for {key!r}: {raw!r}") from None
 
 
-def load_experiment_config(path):
-    """Parse a 'key = value' experiment plan file.
+def load_experiment_config(path) -> ExperimentPlan:
+    """Parse a 'key = value' experiment plan file into an ExperimentPlan.
 
     Text from a '#' to the end of its line is a comment, and blank lines are
-    ignored; lists are comma-separated. A key the file omits keeps the
-    default of what it sets: an ExperimentPlan field (``bootstrap`` sets
-    ``B``), a SolverConfig field, or a ``run_experiment`` keyword. Returns
-    (ExperimentPlan, methods, options) where ``options`` holds the solver and
-    tuning knobs for ``run_experiment``.
+    ignored; lists are comma-separated. Each key is an ExperimentPlan field
+    (``bootstrap`` sets ``B``), and a key the file omits keeps the field's
+    default.
     """
     defaults = _plan_defaults()
     values = dict(defaults)
@@ -496,12 +495,4 @@ def load_experiment_config(path):
                 raise InvalidInputError(f"{path}: unknown key {key!r} on line {ln}")
             values[key] = _parse_plan_value(key, raw, defaults[key])
     values["B"] = values.pop("bootstrap")
-
-    def taken_by(names):
-        return {name: values[name] for name in names if name in values}
-
-    plan = ExperimentPlan(**taken_by(f.name for f in fields(ExperimentPlan)))
-    solver = SolverConfig(lam=0.0, **taken_by(f.name for f in fields(SolverConfig)))
-    options = taken_by(inspect.signature(run_experiment).parameters)
-    methods = tuple(options.pop("methods"))
-    return plan, methods, {"solver_config": solver, **options}
+    return ExperimentPlan(**values)

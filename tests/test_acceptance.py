@@ -98,8 +98,9 @@ def fwer_sweep():
         alphas=[0.05, 0.1],
         B=200,
         seed=SWEEP_SEED,
+        methods=["robsel", "holm"],
     )
-    report = gs.run_experiment(plan, methods=("robsel", "holm"), threads=4)
+    report = gs.run_experiment(plan, threads=4)
     return plan, report
 
 

@@ -231,6 +231,20 @@ def test_experiment_threads_do_not_change_output(tmp_path):
     ).read_bytes()
 
 
+def test_experiment_plan_with_repeats_or_no_methods_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "plan.cfg"
+    base = "d = 8\nedge_prob = 0.1\nreplications = 2\nbootstrap = 20\n"
+    for extra, message in (
+        ("sample_sizes = 40, 40\nalphas = 0.2, 0.2\n", "repeated value in sample_sizes"),
+        ("sample_sizes = 40\nalphas = 0.2, 0.2\n", "repeated value in alphas"),
+        ("sample_sizes = 40\nmethods =\n", "methods must name at least one"),
+    ):
+        config.write_text(base + extra, encoding="utf-8")
+        assert run_cli(["experiment", "--config", config, "-o", tmp_path / "s"]) == 2
+        assert f"error: InvalidInputError: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "s.replicates.csv").exists()
+
+
 class _WriteRecorder:
     """A stand-in for sys.stderr that keeps every write call."""
 
@@ -343,6 +357,23 @@ def test_environment_variable_sets_default_threads(tmp_path, sample_csv, monkeyp
         == 0
     )
     assert (tmp_path / "env.lambda.csv").exists()
+
+
+def test_invalid_threads_environment_variable_is_usage_error(
+    tmp_path, sample_csv, monkeypatch, capsys
+):
+    args = ["robsel", "-i", sample_csv, "--alpha", "0.3", "--bootstrap", "16", "--no-fit",
+            "-o", tmp_path / "env"]
+    for raw in ("abc", "0", "-3", "2.5"):
+        monkeypatch.setenv("GGMSELECT_THREADS", raw)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(args)
+        assert excinfo.value.code == 2
+        assert f"GGMSELECT_THREADS must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
+        # An explicit --threads does not read the variable.
+        assert run_cli(["--threads", "2", *args]) == 0
+    monkeypatch.setenv("GGMSELECT_THREADS", "")
+    assert run_cli(args) == 0
 
 
 def test_cli_entry_point_runs_as_subprocess(tmp_path, sample_csv):

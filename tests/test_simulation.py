@@ -73,6 +73,7 @@ def test_sampling_no_centering_applied():
 
 
 def test_experiment_bookkeeping_single_cell():
+    methods = ["robsel", "holm", "bonferroni", "sidak", "cv", "ebic"]
     plan = gs.ExperimentPlan(
         d=8,
         edge_prob=0.1,
@@ -81,9 +82,9 @@ def test_experiment_bookkeeping_single_cell():
         alphas=[0.1],
         B=25,
         seed=4,
+        methods=methods,
     )
-    methods = ("robsel", "holm", "bonferroni", "sidak", "cv", "ebic")
-    report = gs.run_experiment(plan, methods=methods)
+    report = gs.run_experiment(plan)
     assert len(report.records) == len(methods)
     by_method = {record.method: record for record in report.records}
     assert set(by_method) == set(methods)
@@ -105,8 +106,9 @@ def test_experiment_holm_not_applicable_cells():
         alphas=[0.2],
         B=20,
         seed=6,
+        methods=["robsel", "holm"],
     )
-    report = gs.run_experiment(plan, methods=("robsel", "holm"))
+    report = gs.run_experiment(plan)
     holm_small = [r for r in report.records if r.method == "holm" and r.n == 8]
     assert len(holm_small) == 2
     assert all(r.fwer_indicator is None and r.tpr is None for r in holm_small)
@@ -120,8 +122,15 @@ def test_experiment_holm_not_applicable_cells():
 def test_experiment_testing_cells_at_small_n_are_silent(capsys):
     # At n = 8 = d the covariance is singular; the n > d + 1 rule must mark
     # the testing cells not applicable before partial correlations are tried.
-    plan = gs.ExperimentPlan(d=8, edge_prob=0.2, sample_sizes=[8, 9], replications=3, B=20)
-    report = gs.run_experiment(plan, methods=("robsel", "holm", "bonferroni"))
+    plan = gs.ExperimentPlan(
+        d=8,
+        edge_prob=0.2,
+        sample_sizes=[8, 9],
+        replications=3,
+        B=20,
+        methods=["robsel", "holm", "bonferroni"],
+    )
+    report = gs.run_experiment(plan)
     assert "warning:" not in capsys.readouterr().err
     testing = [r for r in report.records if r.method in ("holm", "bonferroni")]
     assert {r.n for r in testing} == {8, 9} and len(testing) == 2 * 2 * 3 * 2
@@ -132,10 +141,18 @@ def test_experiment_testing_cells_at_small_n_are_silent(capsys):
 
 def test_sweep_cells_agree_with_public_selectors():
     plan = gs.ExperimentPlan(
-        d=8, edge_prob=0.2, sample_sizes=[40], replications=2, alphas=[0.1, 0.3], B=20, seed=8
+        d=8,
+        edge_prob=0.2,
+        sample_sizes=[40],
+        replications=2,
+        alphas=[0.1, 0.3],
+        B=20,
+        seed=8,
+        methods=["robsel", "holm", "bonferroni", "sidak", "cv", "ebic"],
+        folds=3,
+        grid_size=5,
     )
-    methods = ("robsel", "holm", "bonferroni", "sidak", "cv", "ebic")
-    report = gs.run_experiment(plan, methods=methods, folds=3, grid_size=5)
+    report = gs.run_experiment(plan)
     truth = gs.generate_precision(plan.d, plan.edge_prob, plan.seed)
     checked = 0
     for r in report.records:
@@ -162,10 +179,16 @@ def test_sweep_cells_agree_with_public_selectors():
 def test_recorded_timings_cover_exactly_the_defined_cells():
     # n = 8 = d leaves the testing cells undefined.
     plan = gs.ExperimentPlan(
-        d=8, edge_prob=0.2, sample_sizes=[8, 40], replications=2, alphas=[0.1, 0.3], B=20
+        d=8,
+        edge_prob=0.2,
+        sample_sizes=[8, 40],
+        replications=2,
+        alphas=[0.1, 0.3],
+        B=20,
+        methods=["robsel", "holm", "sidak", "ebic"],
+        grid_size=4,
     )
-    methods = ("robsel", "holm", "sidak", "ebic")
-    report = gs.run_experiment(plan, methods=methods, grid_size=4, record_timings=True)
+    report = gs.run_experiment(plan, record_timings=True)
     undefined = [r for r in report.records if r.fwer_indicator is None]
     defined = [r for r in report.records if r.fwer_indicator is not None]
     assert {(r.method, r.n) for r in undefined} == {("holm", 8), ("sidak", 8)}
@@ -180,9 +203,15 @@ def test_failed_bootstrap_blanks_only_the_robsel_cells(monkeypatch, capsys):
 
     monkeypatch.setattr(simulation, "bootstrap_rwp_samples", broken_bootstrap)
     plan = gs.ExperimentPlan(
-        d=6, edge_prob=0.3, sample_sizes=[40], replications=2, alphas=[0.1, 0.3], B=10
+        d=6,
+        edge_prob=0.3,
+        sample_sizes=[40],
+        replications=2,
+        alphas=[0.1, 0.3],
+        B=10,
+        methods=["robsel", "holm"],
     )
-    report = gs.run_experiment(plan, methods=("robsel", "holm"))
+    report = gs.run_experiment(plan)
     err = capsys.readouterr().err.splitlines()
     assert err == [
         f"warning: robsel failed at (n=40, r={r}): broken bootstrap" for r in (1, 2)
@@ -203,18 +232,25 @@ def test_experiment_schedule_independent():
         alphas=[0.1, 0.5],
         B=30,
         seed=11,
+        methods=["robsel", "holm"],
     )
-    serial = gs.run_experiment(plan, methods=("robsel", "holm"))
-    threaded = gs.run_experiment(plan, methods=("robsel", "holm"), threads=4)
+    serial = gs.run_experiment(plan)
+    threaded = gs.run_experiment(plan, threads=4)
     assert serial.records == threaded.records
 
 
 def test_experiment_rejects_unknown_method():
-    plan = gs.ExperimentPlan(
-        d=5, edge_prob=0.1, sample_sizes=[20], replications=1, alphas=[0.1], B=5, seed=0
-    )
     with pytest.raises(InvalidInputError, match="unknown method"):
-        gs.run_experiment(plan, methods=("robsel", "mystery"))
+        gs.ExperimentPlan(
+            d=5,
+            edge_prob=0.1,
+            sample_sizes=[20],
+            replications=1,
+            alphas=[0.1],
+            B=5,
+            seed=0,
+            methods=["robsel", "mystery"],
+        )
 
 
 def test_summaries_aggregate_means_and_ses():
@@ -226,8 +262,9 @@ def test_summaries_aggregate_means_and_ses():
         alphas=[0.2],
         B=20,
         seed=13,
+        methods=["robsel"],
     )
-    report = gs.run_experiment(plan, methods=("robsel",))
+    report = gs.run_experiment(plan)
     (cell,) = report.summaries()
     assert cell.replicates == 4
     rows = [r for r in report.records]
@@ -240,9 +277,16 @@ def test_summaries_aggregate_means_and_ses():
 
 def test_replicates_csv_round_trip(tmp_path):
     plan = gs.ExperimentPlan(
-        d=6, edge_prob=0.15, sample_sizes=[40], replications=2, alphas=[0.3], B=10, seed=21
+        d=6,
+        edge_prob=0.15,
+        sample_sizes=[40],
+        replications=2,
+        alphas=[0.3],
+        B=10,
+        seed=21,
+        methods=["robsel", "holm"],
     )
-    report = gs.run_experiment(plan, methods=("robsel", "holm"))
+    report = gs.run_experiment(plan)
     path = tmp_path / "replicates.csv"
     gs.write_replicates_csv(report, path)
     lines = path.read_text(encoding="utf-8").strip().splitlines()
@@ -289,11 +333,12 @@ def test_plan_config_parsing(tmp_path):
         "penalize_diagonal = false\n",
         encoding="utf-8",
     )
-    plan, methods, options = gs.load_experiment_config(config)
+    plan = gs.load_experiment_config(config)
     assert plan.d == 12 and plan.B == 30 and plan.sample_sizes == [50, 100]
-    assert methods == ("robsel", "holm")
-    assert options["gamma"] == 0.25
-    assert options["solver_config"].penalize_diagonal is False
+    assert plan.methods == ["robsel", "holm"]
+    assert plan.gamma == 0.25
+    assert plan.penalize_diagonal is False
+    assert plan.solver(0.1) == gs.SolverConfig(lam=0.1, penalize_diagonal=False)
 
 
 def test_plan_config_parses_readme_example(tmp_path):
@@ -301,9 +346,10 @@ def test_plan_config_parses_readme_example(tmp_path):
     # including its trailing comment after the method list.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Experiment plan files", 1)[1]
+    example = section.split("```ini\n", 1)[1].split("```", 1)[0]
     config = tmp_path / "plan.cfg"
-    config.write_text(section.split("```ini\n", 1)[1].split("```", 1)[0], encoding="utf-8")
-    plan, methods, options = gs.load_experiment_config(config)
+    config.write_text(example, encoding="utf-8")
+    plan = gs.load_experiment_config(config)
     assert plan == gs.ExperimentPlan(
         d=50,
         edge_prob=0.02,
@@ -313,13 +359,20 @@ def test_plan_config_parses_readme_example(tmp_path):
         B=200,
         seed=7,
     )
-    assert methods == ("robsel", "holm")
+    assert plan.methods == ["robsel", "holm"]
+    # The README says its commented "# key = value" lines are the defaults:
+    # with them uncommented, the plan is still the default one but for seed.
+    uncommented = re.sub(r"(?m)^# (\w+ = )", r"\1", example)
+    assert uncommented.count("\n# ") == 1  # only the line that introduces them
+    config.write_text(uncommented, encoding="utf-8")
+    assert gs.load_experiment_config(config) == gs.ExperimentPlan(seed=7)
 
 
 def test_plan_config_defaults(tmp_path):
     config = tmp_path / "plan.cfg"
     config.write_text("# nothing but comments\n\n   # d = 10\n", encoding="utf-8")
-    plan, methods, options = gs.load_experiment_config(config)
+    plan = gs.load_experiment_config(config)
+    assert plan == gs.ExperimentPlan()
     assert plan == gs.ExperimentPlan(
         d=50,
         edge_prob=0.02,
@@ -329,16 +382,11 @@ def test_plan_config_defaults(tmp_path):
         B=200,
         seed=0,
     )
-    assert methods == ("robsel", "holm")
-    assert options == {
-        "solver_config": gs.SolverConfig(
-            lam=0.0, penalize_diagonal=True, kkt_tol=1e-6, max_sweeps=500
-        ),
-        "zero_tol": 1e-8,
-        "folds": 5,
-        "gamma": 0.5,
-        "grid_size": 10,
-    }
+    assert plan.methods == ["robsel", "holm"]
+    assert plan.solver(0.0) == gs.SolverConfig(
+        lam=0.0, penalize_diagonal=True, kkt_tol=1e-6, max_sweeps=500
+    )
+    assert (plan.zero_tol, plan.folds, plan.gamma, plan.grid_size) == (1e-8, 5, 0.5, 10)
 
 
 def test_plan_config_rejects_unknown_key(tmp_path):
@@ -380,3 +428,31 @@ def test_plan_validation():
         gs.ExperimentPlan(
             d=5, edge_prob=0.1, sample_sizes=[10], replications=1, alphas=[1.5]
         )
+    # The solver fields are checked when the plan is built, not per cell.
+    with pytest.raises(InvalidInputError, match="kkt_tol"):
+        gs.ExperimentPlan(kkt_tol=0.0)
+    with pytest.raises(InvalidInputError, match="max_sweeps"):
+        gs.ExperimentPlan(max_sweeps=0)
+
+
+def test_plan_rejects_repeated_values_and_empty_methods(tmp_path):
+    # A repeated sample size or alpha would run copies of the same cells and
+    # understate the standard errors computed over them.
+    base = dict(d=5, edge_prob=0.1, sample_sizes=[40], replications=2, alphas=[0.2])
+    for change, message in (
+        ({"sample_sizes": [40, 40]}, "repeated value in sample_sizes"),
+        ({"alphas": [0.2, 0.2]}, "repeated value in alphas"),
+        ({"methods": ["holm", "robsel", "holm"]}, "repeated value in methods"),
+        ({"methods": []}, "methods must name at least one"),
+    ):
+        with pytest.raises(InvalidInputError, match=message):
+            gs.ExperimentPlan(**{**base, **change})
+    config = tmp_path / "plan.cfg"
+    for line, message in (
+        ("sample_sizes = 40, 40", "repeated value in sample_sizes"),
+        ("alphas = 0.2, 0.20", "repeated value in alphas"),
+        ("methods =", "methods must name at least one"),
+    ):
+        config.write_text(f"d = 5\nreplications = 2\n{line}\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError, match=message):
+            gs.load_experiment_config(config)
