@@ -30,7 +30,7 @@ from .metrics import (
     load_interaction_pairs,
     validated_edge_report,
 )
-from .robsel import BOOTSTRAP_CENTERINGS, RobselConfig, robsel_lambda
+from .robsel import RobselConfig, robsel_lambda
 from .simulation import (
     generate_precision,
     load_experiment_config,
@@ -41,7 +41,14 @@ from .simulation import (
 )
 from .solver import SolverConfig, glasso
 from .testing import ADJUSTMENT_METHODS, testing_select
-from .tuning import cv_select, ebic_select, lambda_grid
+from .tuning import (
+    DEFAULT_FOLDS,
+    DEFAULT_GAMMA,
+    DEFAULT_GRID_SIZE,
+    cv_select,
+    ebic_select,
+    lambda_grid,
+)
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -72,21 +79,12 @@ def _load_input(args) -> DataMatrix:
     return data
 
 
-def _solver_config(args, lam: float) -> SolverConfig:
-    return SolverConfig(
-        lam=lam,
-        penalize_diagonal=args.penalize_diagonal,
-        kkt_tol=args.kkt_tol,
-        max_sweeps=args.max_sweeps,
-    )
-
-
 def _fit_and_write(args, data, lam, *preamble) -> None:
     """Fit the graphical lasso at ``lam``; once it succeeds, print the
     ``preamble`` lines and the fit summary and write the precision matrix and
     the edge list."""
     A = empirical_covariance(data, center=not args.no_center)
-    result = glasso(A, _solver_config(args, lam))
+    result = glasso(A, SolverConfig.from_settings(args, lam))
     edges = edges_from_precision(result.precision, args.zero_tol)
     for line in preamble:
         print(line)
@@ -112,12 +110,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_robsel(args) -> int:
     data = _load_input(args)
-    config = RobselConfig(
-        alpha=args.alpha,
-        B=args.bootstrap,
-        seed=args.seed,
-        bootstrap_centering=args.bootstrap_centering,
-    )
+    config = RobselConfig(alpha=args.alpha, B=args.bootstrap, seed=args.seed)
     selection = robsel_lambda(
         data, config, center=not args.no_center, threads=args.threads
     )
@@ -157,7 +150,7 @@ def _cmd_tune(args) -> int:
     data = _load_input(args)
     A = empirical_covariance(data, center=not args.no_center)
     grid = lambda_grid(A, args.grid_size)
-    base = _solver_config(args, grid.s_max)
+    base = SolverConfig.from_settings(args, grid.s_max)
     if args.method == "cv":
         tuned = cv_select(
             data,
@@ -323,13 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=RobselConfig.seed)
     p.add_argument(
-        "--bootstrap-centering",
-        choices=BOOTSTRAP_CENTERINGS,
-        default=RobselConfig.bootstrap_centering,
-        help="center each bootstrap covariance at the replicate mean or the "
-        "full-sample mean",
-    )
-    p.add_argument(
         "--no-fit",
         action="store_true",
         help="only select the penalty; skip the graphical lasso fit",
@@ -346,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="cross-validated or EBIC penalty selection")
     _add_common_io(p)
     p.add_argument("--method", choices=("cv", "ebic"), required=True)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--grid-size", type=int, default=10)
+    p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--seed", type=int, default=0)
     _add_solver_options(p)
     p.set_defaults(handler=_cmd_tune)

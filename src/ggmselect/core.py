@@ -185,14 +185,24 @@ def empirical_covariance(data, center: bool = True) -> np.ndarray:
 
 def edges_from_precision(precision, zero_tol: float = DEFAULT_ZERO_TOL) -> EdgeSet:
     """Edge set of a precision matrix: pairs (i, j), i < j, with |K_ij| > zero_tol."""
-    if zero_tol < 0:
-        raise InvalidInputError(f"zero_tol must be nonnegative, got {zero_tol}")
+    _check_zero_tol(zero_tol)
     precision = check_square_symmetric(precision, "precision matrix")
     d = precision.shape[0]
     rows, cols = np.triu_indices(d, k=1)
     keep = np.abs(precision[rows, cols]) > zero_tol
     pairs = frozenset(zip(rows[keep].tolist(), cols[keep].tolist()))
     return EdgeSet(d, pairs)
+
+
+def _check_zero_tol(zero_tol: float) -> None:
+    if zero_tol < 0:
+        raise InvalidInputError(f"zero_tol must be nonnegative, got {zero_tol}")
+
+
+def _check_seed(seed: int) -> None:
+    """The rule for every seed: numpy's generators take nonnegative integers."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
 
 
 def max_offdiag_abs(matrix) -> float:

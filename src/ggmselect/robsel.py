@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     DEFAULT_ZERO_TOL,
     SelectionResult,
+    _check_seed,
     _cov,
     as_data_matrix,
     check_square_symmetric,
@@ -28,38 +29,23 @@ from .core import (
 from .errors import InvalidInputError
 from .solver import SolverConfig, glasso
 
-#: Values of ``RobselConfig.bootstrap_centering``.
-BOOTSTRAP_CENTERINGS = ("replicate", "original")
-
-
 @dataclass
 class RobselConfig:
     """Bootstrap controls: confidence parameter alpha, replicate count B, seed.
 
-    ``bootstrap_centering`` chooses whether each bootstrap covariance is
-    centered at the replicate's own mean ("replicate", the default) or at the
-    mean of the original sample ("original"). It applies only when the
-    covariances are centered: with ``center=False`` every bootstrap replicate
-    is the raw second moment of its resample, like A itself.
+    Every replicate is formed the way A is; see ``bootstrap_rwp_samples``.
     """
 
     alpha: float
     B: int = 200
     seed: int = 0
-    bootstrap_centering: str = "replicate"
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.B < 1:
             raise InvalidInputError(f"bootstrap count must be >= 1, got {self.B}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
-        if self.bootstrap_centering not in BOOTSTRAP_CENTERINGS:
-            raise InvalidInputError(
-                f"bootstrap_centering must be 'replicate' or 'original', "
-                f"got {self.bootstrap_centering!r}"
-            )
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -104,7 +90,7 @@ _PAIR_BLOCK = 256
 _ROW_CHUNK = 128
 
 
-def _bootstrap_block(X, A, center_replicates: bool, seed: int, replicates) -> np.ndarray:
+def _bootstrap_block(X, A, center: bool, seed: int, replicates) -> np.ndarray:
     """R*_b for each replicate b in ``replicates``, from resample counts.
 
     Replicate b draws ``default_rng((seed, b)).integers(0, n, n)``; with c_b
@@ -120,7 +106,7 @@ def _bootstrap_block(X, A, center_replicates: bool, seed: int, replicates) -> np
         draw = np.random.default_rng((seed, b)).integers(0, n, n)
         counts[k] = np.bincount(draw, minlength=n)
     chunks = [slice(start, start + _ROW_CHUNK) for start in range(0, n, _ROW_CHUNK)]
-    if center_replicates:
+    if center:
         means = np.zeros((len(replicates), d))
         for rows in chunks:
             means += counts[:, rows].astype(float) @ X[rows]
@@ -136,7 +122,7 @@ def _bootstrap_block(X, A, center_replicates: bool, seed: int, replicates) -> np
             products *= X[rows, J]
             S += counts[:, rows].astype(float) @ products
         S /= n
-        if center_replicates:
+        if center:
             S -= means[:, I] * means[:, J]
         S -= A[I, J]
         np.maximum(result, np.abs(S, out=S).max(axis=1), out=result)
@@ -146,27 +132,26 @@ def _bootstrap_block(X, A, center_replicates: bool, seed: int, replicates) -> np
 def bootstrap_rwp_samples(data, config: RobselConfig, center: bool = True, threads: int = 1) -> np.ndarray:
     """Sorted (ascending) bootstrap profile values R*_1..R*_B.
 
-    Each replicate is formed as A is: with ``center=False`` it is the raw
-    second moment of its resample, and ``config.bootstrap_centering`` applies
-    only when centering. Replicate b depends only on (config.seed, b), and
-    replicates are computed in blocks of a fixed size, so parallel and serial
-    execution produce bit-identical results.
+    Each replicate is formed as A is: centered at the resample's own mean,
+    or with ``center=False`` the raw second moment of the resample. (To
+    center replicates at the full-sample mean instead, center the data at
+    its mean and pass ``center=False``.) Replicate b depends only on
+    (config.seed, b), and replicates are computed in blocks of a fixed size,
+    so parallel and serial execution produce bit-identical results.
     """
     data = as_data_matrix(data)
     values = data.values
     A = _cov(values, center=center)
-    # Centered replicates are shift-invariant, so both centerings start from
-    # the data centered at the full-sample mean; "replicate" then removes
-    # each resample's own mean as well.
+    # Centered replicates are shift-invariant, so they are formed from the
+    # data centered at its mean, where S_b - m_b m_b^T cancels less.
     if center:
         values = values - values.mean(axis=0)
-    center_replicates = center and config.bootstrap_centering == "replicate"
     blocks = [
         range(start, min(start + _REPLICATE_BLOCK, config.B + 1))
         for start in range(1, config.B + 1, _REPLICATE_BLOCK)
     ]
     samples = parallel_map(
-        lambda replicates: _bootstrap_block(values, A, center_replicates, config.seed, replicates),
+        lambda replicates: _bootstrap_block(values, A, center, config.seed, replicates),
         blocks,
         threads,
     )

@@ -21,6 +21,8 @@ from .core import (
     DEFAULT_ZERO_TOL,
     DataMatrix,
     EdgeSet,
+    _check_seed,
+    _check_zero_tol,
     _cov,
     edges_from_precision,
     parallel_map,
@@ -38,7 +40,15 @@ from .testing import (
     partial_correlations,
     unadjusted_pvalues,
 )
-from .tuning import cv_select, ebic_select, lambda_grid
+from .tuning import (
+    DEFAULT_FOLDS,
+    DEFAULT_GAMMA,
+    DEFAULT_GRID_SIZE,
+    _check_tuning,
+    cv_select,
+    ebic_select,
+    lambda_grid,
+)
 
 # Methods that choose their own penalty, so have no alpha.
 _TUNED_METHODS = ("cv", "ebic")
@@ -60,8 +70,8 @@ class ExperimentPlan:
     cells, and the methods, solver and tuning settings every cell runs with.
 
     Each field is one plan-file key (``bootstrap`` sets ``B``). The defaults
-    are the sweep a plan file without keys describes; the solver fields take
-    theirs from ``SolverConfig``.
+    are the sweep a plan file without keys describes. A setting the library
+    owns takes its default and its rule from the library.
     """
 
     d: int = 50
@@ -76,27 +86,15 @@ class ExperimentPlan:
     kkt_tol: float = SolverConfig.kkt_tol
     max_sweeps: int = SolverConfig.max_sweeps
     zero_tol: float = DEFAULT_ZERO_TOL
-    folds: int = 5
-    gamma: float = 0.5
-    grid_size: int = 10
+    folds: int = DEFAULT_FOLDS
+    gamma: float = DEFAULT_GAMMA
+    grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
-        if self.d < 2:
-            raise InvalidInputError(f"d must be >= 2, got {self.d}")
-        if not (0.0 < self.edge_prob < 1.0):
-            raise InvalidInputError(f"edge_prob must be in (0, 1), got {self.edge_prob}")
-        if not self.sample_sizes or any(n < 2 for n in self.sample_sizes):
+        if any(n < 2 for n in self.sample_sizes):
             raise InvalidInputError("sample sizes must be >= 2")
         if self.replications < 1:
             raise InvalidInputError("replications must be >= 1")
-        if not self.alphas or any(not (0.0 < a < 1.0) for a in self.alphas):
-            raise InvalidInputError("alphas must lie in (0, 1)")
-        if self.B < 1:
-            raise InvalidInputError("bootstrap count must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be nonnegative")
-        if not self.methods:
-            raise InvalidInputError(f"methods must name at least one of {KNOWN_METHODS}")
         for method in self.methods:
             if method not in KNOWN_METHODS:
                 raise InvalidInputError(
@@ -105,18 +103,28 @@ class ExperimentPlan:
         # A repeated value would copy cells and shrink the standard errors.
         for name in ("sample_sizes", "alphas", "methods"):
             values = getattr(self, name)
+            if not values:
+                raise InvalidInputError(f"{name} must name at least one value")
             if len(set(values)) != len(values):
                 raise InvalidInputError(f"repeated value in {name}: {list(values)}")
-        self.solver(0.0)  # checks the solver fields
+        # Each setting the library owns is checked with its owner's rule.
+        _check_truth(self.d, self.edge_prob)
+        for alpha in self.alphas:
+            RobselConfig(alpha, self.B, self.seed)
+        self.solver(0.0)
+        _check_tuning(self.folds, self.gamma, self.grid_size)
+        _check_zero_tol(self.zero_tol)
 
     def solver(self, lam: float) -> SolverConfig:
         """The configuration of a glasso fit at ``lam`` in this sweep."""
-        return SolverConfig(
-            lam=lam,
-            penalize_diagonal=self.penalize_diagonal,
-            kkt_tol=self.kkt_tol,
-            max_sweeps=self.max_sweeps,
-        )
+        return SolverConfig.from_settings(self, lam)
+
+
+def _check_truth(d: int, edge_prob: float) -> None:
+    if d < 2:
+        raise InvalidInputError(f"d must be >= 2, got {d}")
+    if not (0.0 < edge_prob < 1.0):
+        raise InvalidInputError(f"edge_prob must be in (0, 1), got {edge_prob}")
 
 
 def generate_precision(d: int, edge_prob: float, seed: int, max_retries: int = 100) -> GroundTruth:
@@ -131,10 +139,8 @@ def generate_precision(d: int, edge_prob: float, seed: int, max_retries: int = 1
     [1, 1.5], with a Cholesky check and up to ``max_retries`` re-draws of the
     diagonal if positive definiteness is ever lost.
     """
-    if d < 2:
-        raise InvalidInputError(f"d must be >= 2, got {d}")
-    if not (0.0 < edge_prob < 1.0):
-        raise InvalidInputError(f"edge_prob must be in (0, 1), got {edge_prob}")
+    _check_truth(d, edge_prob)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(d, k=1)
     present = rng.random(rows.size) < edge_prob
@@ -181,6 +187,7 @@ def sample_gaussian(truth: GroundTruth, n: int, seed: int) -> DataMatrix:
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     d = truth.sigma.shape[0]
     factor = np.linalg.cholesky(truth.sigma)
@@ -297,7 +304,7 @@ def _select(method, data, A, plan, keys) -> list:
     if method in ADJUSTMENT_METHODS:
         # Checked before the inversion, which is singular at n <= d.
         _check_testable(data.n, data.d)
-        pvalues = unadjusted_pvalues(partial_correlations(A), data.n, data.d)
+        pvalues = unadjusted_pvalues(partial_correlations(A), data.n)
         adjusted = adjust_pvalues(pvalues.unadjusted, method)
         pairs = pvalues.pairs()
 

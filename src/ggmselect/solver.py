@@ -24,7 +24,7 @@ with W = K^-1 and the diagonal included according to ``penalize_diagonal``
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -129,6 +129,11 @@ class SolverConfig:
             raise InvalidInputError(f"kkt_tol must be positive, got {self.kkt_tol}")
         if self.max_sweeps < 1:
             raise InvalidInputError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+
+    @classmethod
+    def from_settings(cls, settings, lam: float) -> SolverConfig:
+        """The configuration at ``lam``, other fields read from ``settings``."""
+        return cls(lam, **{f.name: getattr(settings, f.name) for f in fields(cls)[1:]})
 
 
 @dataclass
@@ -237,22 +242,25 @@ def _objective(precision, logdet, A, config: SolverConfig) -> float:
     )
 
 
-def objective_value(precision, A, config: SolverConfig) -> float:
-    """Evaluate trace(K A) - log det K + lambda * P(K) at a PD matrix K."""
+def _check_pair(precision, A) -> tuple[np.ndarray, np.ndarray]:
+    """A precision matrix and a covariance matrix of the same size."""
     precision = check_square_symmetric(precision, "precision matrix")
     A = check_square_symmetric(A, "covariance matrix")
     if precision.shape != A.shape:
         raise InvalidInputError("precision and covariance dimensions differ")
+    return precision, A
+
+
+def objective_value(precision, A, config: SolverConfig) -> float:
+    """Evaluate trace(K A) - log det K + lambda * P(K) at a PD matrix K."""
+    precision, A = _check_pair(precision, A)
     logdet = _chol_logdet(precision, "precision matrix is not positive definite")
     return _objective(precision, logdet, A, config)
 
 
 def kkt_residual(precision, A, config: SolverConfig) -> float:
     """Max-norm violation of the stationarity conditions at K; 0 at an optimum."""
-    precision = check_square_symmetric(precision, "precision matrix")
-    A = check_square_symmetric(A, "covariance matrix")
-    if precision.shape != A.shape:
-        raise InvalidInputError("precision and covariance dimensions differ")
+    precision, A = _check_pair(precision, A)
     inverse = _pd_inverse(precision, "precision matrix is not positive definite")
     return _subgradient_residual(
         precision, inverse, A, config.lam, config.penalize_diagonal

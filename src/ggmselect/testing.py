@@ -96,18 +96,16 @@ def _check_testable(n: int, d: int) -> None:
         )
 
 
-def unadjusted_pvalues(R, n: int, d: int | None = None) -> PValueMatrix:
-    """Two-sided p-values for each off-diagonal partial correlation.
+def unadjusted_pvalues(R, n: int) -> PValueMatrix:
+    """Two-sided p-values for each off-diagonal entry of the d-by-d partial
+    correlation matrix ``R`` of ``n`` samples.
 
     Raises NotApplicableError unless n > d + 1, the regime where the
     z-transform scale sqrt(n - d - 1) is defined. A partial correlation of
     exactly +-1 maps to a p-value of 0 with a DegenerateCorrelationWarning.
     """
     R = check_square_symmetric(R, "partial correlation matrix")
-    if d is None:
-        d = R.shape[0]
-    elif d != R.shape[0]:
-        raise InvalidInputError(f"d={d} does not match matrix dimension {R.shape[0]}")
+    d = R.shape[0]
     _check_testable(n, d)
     rows, cols = np.triu_indices(d, k=1)
     r = R[rows, cols]
@@ -202,7 +200,7 @@ def testing_select(data, alpha: float, method: str = "holm", center: bool = True
     _check_testable(n, d)
     A = _cov(data.values, center=center)
     R = partial_correlations(A)
-    pmatrix = unadjusted_pvalues(R, n, d)
+    pmatrix = unadjusted_pvalues(R, n)
     adjusted = adjust_pvalues(pmatrix.unadjusted, method)
     pmatrix = PValueMatrix(d, pmatrix.unadjusted, adjusted)
     pairs = pmatrix.pairs()

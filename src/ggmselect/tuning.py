@@ -24,15 +24,30 @@ import numpy as np
 
 from .core import (
     DEFAULT_ZERO_TOL,
+    _check_seed,
     _cov,
     as_data_matrix,
-    check_square_symmetric,
     edges_from_precision,
     max_offdiag_abs,
     parallel_map,
 )
 from .errors import InvalidInputError
-from .solver import SolverConfig, _chol_logdet, glasso
+from .solver import SolverConfig, _check_pair, _chol_logdet, glasso
+
+#: Defaults of the tuning settings, for the library, the CLI and the sweep.
+DEFAULT_FOLDS = 5
+DEFAULT_GAMMA = 0.5
+DEFAULT_GRID_SIZE = 10
+
+
+def _check_tuning(folds=DEFAULT_FOLDS, gamma=DEFAULT_GAMMA, grid_size=DEFAULT_GRID_SIZE) -> None:
+    """The rules of the tuning settings, each applied where the setting is used."""
+    if folds < 2:
+        raise InvalidInputError(f"folds must be >= 2, got {folds}")
+    if gamma < 0:
+        raise InvalidInputError(f"gamma must be >= 0, got {gamma}")
+    if grid_size < 2:
+        raise InvalidInputError(f"grid_size must be >= 2, got {grid_size}")
 
 
 @dataclass
@@ -68,10 +83,9 @@ class TuningResult:
     fold_assignments: np.ndarray | None = None
 
 
-def lambda_grid(A, grid_size: int = 10) -> LambdaGrid:
+def lambda_grid(A, grid_size: int = DEFAULT_GRID_SIZE) -> LambdaGrid:
     """Geometric grid of ``grid_size`` values from s_max down to 0.05 * s_max."""
-    if grid_size < 2:
-        raise InvalidInputError(f"grid_size must be >= 2, got {grid_size}")
+    _check_tuning(grid_size=grid_size)
     s_max = max_offdiag_abs(A)
     if s_max <= 0:
         raise InvalidInputError(
@@ -83,13 +97,8 @@ def lambda_grid(A, grid_size: int = 10) -> LambdaGrid:
 
 
 def _pick_minimum(scores: list[tuple[float, float]]) -> float:
-    # Scores are listed with lambda decreasing, so a strict comparison keeps
-    # the largest lambda among ties.
-    best_lam, best_score = scores[0]
-    for lam, score in scores[1:]:
-        if score < best_score:
-            best_lam, best_score = lam, score
-    return best_lam
+    # Scores run from the largest lambda down; min keeps the first of ties.
+    return min(scores, key=lambda entry: entry[1])[0]
 
 
 def _path_scores(A_train, grid: LambdaGrid, base: SolverConfig, score_fn) -> list[float]:
@@ -127,8 +136,8 @@ def cv_select(
     """
     data = as_data_matrix(data)
     n = data.n
-    if folds < 2:
-        raise InvalidInputError(f"folds must be >= 2, got {folds}")
+    _check_tuning(folds=folds)
+    _check_seed(seed)
     if n < folds:
         raise InvalidInputError(f"cannot split {n} rows into {folds} folds")
     base = solver_config if solver_config is not None else SolverConfig(lam=0.0)
@@ -180,14 +189,10 @@ def ebic_score(
     L = (n/2)(log det K - trace(K A)) and |E| the number of edges of K at
     threshold ``zero_tol``.
     """
-    if gamma < 0:
-        raise InvalidInputError(f"gamma must be >= 0, got {gamma}")
+    _check_tuning(gamma=gamma)
     if n < 2 or d < 2:
         raise InvalidInputError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    precision = check_square_symmetric(precision, "precision matrix")
-    A = check_square_symmetric(A, "covariance matrix")
-    if precision.shape != A.shape:
-        raise InvalidInputError("precision and covariance dimensions differ")
+    precision, A = _check_pair(precision, A)
     logdet = _chol_logdet(precision, "precision matrix is not positive definite")
     loglik = 0.5 * n * (logdet - float(np.sum(precision * A)))
     n_edges = len(edges_from_precision(precision, zero_tol))
@@ -197,7 +202,7 @@ def ebic_score(
 def ebic_select(
     data,
     grid: LambdaGrid,
-    gamma: float = 0.5,
+    gamma: float = DEFAULT_GAMMA,
     solver_config: SolverConfig | None = None,
     zero_tol: float = DEFAULT_ZERO_TOL,
     center: bool = True,

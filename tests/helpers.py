@@ -164,22 +164,22 @@ def subprocess_env():
     return env
 
 
-def bootstrap_rwp_reference(data, config, center=True):
+def bootstrap_rwp_reference(data, config, center=True, full_sample_mean=False):
     """Sorted R*_1..R*_B, one gathered resample at a time.
 
     Per-replicate reference for ``ggmselect.robsel.bootstrap_rwp_samples``:
     replicate b gathers the rows drawn by
     ``default_rng((config.seed, b)).integers(0, n, n)`` and forms its
-    covariance with ``_cov``, centered at the resample's own mean
-    ("replicate"), at the full-sample mean ("original"), or not at all when
-    ``center=False``.
+    covariance with ``_cov``, centered at the resample's own mean, or not at
+    all when ``center=False``. With ``full_sample_mean=True`` (and
+    ``center=True``) it is centered at the mean of the full sample instead.
     """
     values = np.asarray(data, dtype=float)
     n = values.shape[0]
     A = _cov(values, center=center)
-    if center and config.bootstrap_centering == "original":
+    if center and full_sample_mean:
         values = values - values.mean(axis=0)
-    center_replicates = center and config.bootstrap_centering == "replicate"
+    center_replicates = center and not full_sample_mean
     samples = []
     for b in range(1, config.B + 1):
         sample = values[np.random.default_rng((config.seed, b)).integers(0, n, n)]

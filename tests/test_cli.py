@@ -8,7 +8,7 @@ import pytest
 
 import ggmselect as gs
 from ggmselect import simulation
-from ggmselect.cli import main
+from ggmselect.cli import build_parser, main
 
 from helpers import subprocess_env
 
@@ -243,6 +243,61 @@ def test_experiment_plan_with_repeats_or_no_methods_is_usage_error(tmp_path, cap
         assert run_cli(["experiment", "--config", config, "-o", tmp_path / "s"]) == 2
         assert f"error: InvalidInputError: {message}" in capsys.readouterr().err
         assert not (tmp_path / "s.replicates.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("folds = 1", "folds must be >= 2, got 1"),
+        ("gamma = -3", "gamma must be >= 0, got -3.0"),
+        ("grid_size = 0", "grid_size must be >= 2, got 0"),
+        ("zero_tol = -1", "zero_tol must be nonnegative, got -1.0"),
+    ],
+    ids=["folds", "gamma", "grid_size", "zero_tol"],
+)
+def test_experiment_plan_with_bad_tuning_setting_is_usage_error(tmp_path, capsys, line, message):
+    config = tmp_path / "plan.cfg"
+    config.write_text(
+        "d = 6\nedge_prob = 0.3\nsample_sizes = 40\nreplications = 1\nbootstrap = 10\n"
+        f"methods = robsel, cv, ebic\n{line}\n",
+        encoding="utf-8",
+    )
+    assert run_cli(["experiment", "--config", config, "-o", tmp_path / "s"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: InvalidInputError: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "s.replicates.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--d", "6", "--edge-prob", "0.3", "--n", "40"],
+        ["tune", "-i", "{csv}", "--method", "cv"],
+    ],
+    ids=["simulate", "tune-cv"],
+)
+def test_negative_seed_is_usage_error(tmp_path, sample_csv, capsys, command):
+    args = [str(sample_csv) if a == "{csv}" else a for a in command]
+    assert run_cli([*args, "--seed", "-1", "-o", tmp_path / "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: InvalidInputError: seed must be nonnegative, got -1\n"
+    assert list(tmp_path.glob("out.*")) == []
+
+
+def test_parser_defaults_match_the_experiment_plan():
+    # The CLI and the sweep take their defaults from one definition each.
+    plan = gs.ExperimentPlan()
+    parser = build_parser()
+    tune = parser.parse_args(["tune", "-i", "x.csv", "--method", "cv"])
+    fit = parser.parse_args(["fit", "-i", "x.csv", "--lambda", "0.1"])
+    for args, names in (
+        (tune, ("folds", "gamma", "grid_size")),
+        (tune, ("penalize_diagonal", "kkt_tol", "max_sweeps", "zero_tol")),
+        (fit, ("penalize_diagonal", "kkt_tol", "max_sweeps", "zero_tol")),
+    ):
+        for name in names:
+            assert getattr(args, name) == getattr(plan, name), name
 
 
 class _WriteRecorder:

@@ -314,6 +314,17 @@ def test_load_csv_working_set_stays_small(tmp_path):
     assert peak <= 8e6
 
 
+def test_atomic_writer_failure_keeps_the_target_and_no_temporary(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old,contents\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with core.atomic_text_writer(target) as handle:
+            handle.write("new,partial\n")
+            raise RuntimeError("mid-write")
+    assert target.read_bytes() == b"old,contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 def test_symmetry_validation():
     asym = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(InvalidInputError, match="symmetric"):

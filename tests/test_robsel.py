@@ -121,18 +121,6 @@ def test_scale_equivariance_general_factor():
     assert scaled.lam == pytest.approx(1.7**2 * base.lam, rel=1e-12)
 
 
-def test_bootstrap_centering_modes_differ_on_skewed_data():
-    rng = np.random.default_rng(37)
-    data = rng.exponential(1.0, size=(40, 3))
-    replicate = gs.robsel_lambda(
-        data, gs.RobselConfig(alpha=0.5, B=50, seed=2, bootstrap_centering="replicate")
-    )
-    original = gs.robsel_lambda(
-        data, gs.RobselConfig(alpha=0.5, B=50, seed=2, bootstrap_centering="original")
-    )
-    assert replicate.lam != original.lam
-
-
 def test_uncentered_bootstrap_uses_raw_second_moments():
     # With center=False, A is the raw second moment, and so is every
     # replicate; the oracle redraws each resample from its own stream.
@@ -144,17 +132,16 @@ def test_uncentered_bootstrap_uses_raw_second_moments():
     for b in range(1, 31):
         sample = data[np.random.default_rng((seed, b)).integers(0, n, n)]
         oracle.append(np.abs(sample.T @ sample / n - A).max())
-    for centering in ("replicate", "original"):
-        config = gs.RobselConfig(alpha=0.2, B=30, seed=seed, bootstrap_centering=centering)
-        samples = gs.bootstrap_rwp_samples(data, config, center=False)
-        np.testing.assert_allclose(samples, np.sort(oracle), rtol=1e-12, atol=0)
+    config = gs.RobselConfig(alpha=0.2, B=30, seed=seed)
+    samples = gs.bootstrap_rwp_samples(data, config, center=False)
+    np.testing.assert_allclose(samples, np.sort(oracle), rtol=1e-12, atol=0)
 
 
-CENTERINGS = [(True, "replicate"), (True, "original"), (False, "replicate")]
-
-
-@pytest.mark.parametrize("center,centering", CENTERINGS)
-@pytest.mark.parametrize(
+# Replicates are formed the way A is: centered at their own mean, or not.
+CENTERS = pytest.mark.parametrize(
+    "center", [True, False], ids=["True-replicate", "False-replicate"]
+)
+SHAPES = pytest.mark.parametrize(
     "n,d,B",
     [
         (60, 4, 250),  # three replicate blocks, the last one partial
@@ -163,27 +150,42 @@ CENTERINGS = [(True, "replicate"), (True, "original"), (False, "replicate")]
         (300, 30, 120),  # several pair tiles and row chunks
     ],
 )
-def test_bootstrap_matches_per_replicate_reference(n, d, B, center, centering):
+
+
+@CENTERS
+@SHAPES
+def test_bootstrap_matches_per_replicate_reference(n, d, B, center):
     rng = np.random.default_rng(39)
     data = rng.exponential(1.0, size=(n, d)) + 2.0
-    config = gs.RobselConfig(alpha=0.2, B=B, seed=12, bootstrap_centering=centering)
+    config = gs.RobselConfig(alpha=0.2, B=B, seed=12)
     samples = gs.bootstrap_rwp_samples(data, config, center=center)
     expected = bootstrap_rwp_reference(data, config, center=center)
     assert samples.shape == (B,)
     np.testing.assert_allclose(samples, expected, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("center,centering", CENTERINGS)
-def test_bootstrap_block_of_a_single_variable(center, centering):
+@SHAPES
+def test_full_sample_mean_centering_is_center_false_on_centered_data(n, d, B):
+    # Replicates centered at the mean of the full sample, in place of their
+    # own, are the raw second moments of the data centered at its mean.
+    rng = np.random.default_rng(39)
+    data = rng.exponential(1.0, size=(n, d)) + 2.0
+    config = gs.RobselConfig(alpha=0.2, B=B, seed=12)
+    samples = gs.bootstrap_rwp_samples(data - data.mean(axis=0), config, center=False)
+    expected = bootstrap_rwp_reference(data, config, full_sample_mean=True)
+    np.testing.assert_allclose(samples, expected, rtol=1e-12, atol=0)
+
+
+@CENTERS
+def test_bootstrap_block_of_a_single_variable(center):
     # Data matrices need two columns, so the one-pair tile is checked on the
     # block itself.
     rng = np.random.default_rng(40)
     data = rng.standard_normal((50, 1)) + 3.0
-    config = gs.RobselConfig(alpha=0.2, B=40, seed=13, bootstrap_centering=centering)
+    config = gs.RobselConfig(alpha=0.2, B=40, seed=13)
     X = data - data.mean(axis=0) if center else data
     samples = robsel._bootstrap_block(
-        X, _cov(data, center), center and centering == "replicate", config.seed,
-        range(1, config.B + 1),
+        X, _cov(data, center), center, config.seed, range(1, config.B + 1)
     )
     expected = bootstrap_rwp_reference(data, config, center=center)
     np.testing.assert_allclose(np.sort(samples), expected, rtol=1e-12, atol=0)
@@ -238,8 +240,6 @@ def test_config_validation():
         gs.RobselConfig(alpha=0.5, B=0)
     with pytest.raises(InvalidInputError):
         gs.RobselConfig(alpha=0.5, seed=-1)
-    with pytest.raises(InvalidInputError):
-        gs.RobselConfig(alpha=0.5, bootstrap_centering="other")
 
 
 def test_false_positive_control_monte_carlo():

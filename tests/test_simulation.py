@@ -46,6 +46,14 @@ def test_generate_precision_validation():
         gs.generate_precision(5, 1.0, seed=0)
 
 
+def test_negative_seed_is_rejected_before_sampling():
+    with pytest.raises(InvalidInputError, match="seed must be nonnegative, got -1"):
+        gs.generate_precision(5, 0.2, seed=-1)
+    truth = gs.generate_precision(5, 0.2, seed=0)
+    with pytest.raises(InvalidInputError, match="seed must be nonnegative, got -2"):
+        gs.sample_gaussian(truth, 10, seed=-2)
+
+
 def test_sampling_determinism_and_prefix():
     truth = gs.generate_precision(6, 0.2, seed=1)
     first = gs.sample_gaussian(truth, 7, seed=9)
@@ -433,6 +441,27 @@ def test_plan_validation():
         gs.ExperimentPlan(kkt_tol=0.0)
     with pytest.raises(InvalidInputError, match="max_sweeps"):
         gs.ExperimentPlan(max_sweeps=0)
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("folds", 1, "folds must be >= 2, got 1"),
+        ("gamma", -3.0, "gamma must be >= 0, got -3.0"),
+        ("grid_size", 0, "grid_size must be >= 2, got 0"),
+        ("zero_tol", -1.0, "zero_tol must be nonnegative, got -1.0"),
+    ],
+    ids=["folds", "gamma", "grid_size", "zero_tol"],
+)
+def test_plan_rejects_tuning_setting_that_every_cell_would_reject(tmp_path, key, value, message):
+    # The plan applies the rule of the function that uses the value
+    # (cv_select, ebic_score, lambda_grid, edges_from_precision) at load.
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        gs.ExperimentPlan(**{key: value})
+    config = tmp_path / "plan.cfg"
+    config.write_text(f"d = 5\nreplications = 2\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        gs.load_experiment_config(config)
 
 
 def test_plan_rejects_repeated_values_and_empty_methods(tmp_path):

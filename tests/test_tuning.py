@@ -200,6 +200,8 @@ def test_cv_fold_validation():
     small = rng.standard_normal((2, 3))
     with pytest.raises(InvalidInputError, match="training rows"):
         gs.cv_select(small, folds=2, grid=grid)
+    with pytest.raises(InvalidInputError, match="seed must be nonnegative, got -1"):
+        gs.cv_select(data, folds=2, grid=grid, seed=-1)
 
 
 def test_tie_break_prefers_larger_lambda():
