@@ -17,6 +17,7 @@ import warnings
 from .core import (
     DEFAULT_ZERO_TOL,
     DataMatrix,
+    _check_zero_tol,
     atomic_text_writer,  # kept bound: bench/tracing.py wraps cli.atomic_text_writer
     empirical_covariance,
     edges_from_precision,
@@ -39,7 +40,7 @@ from .simulation import (
     write_replicates_csv,
     write_summary_csv,
 )
-from .solver import SolverConfig, glasso
+from .solver import SolverConfig, _check_variances, glasso
 from .testing import ADJUSTMENT_METHODS, testing_select
 from .tuning import (
     DEFAULT_FOLDS,
@@ -79,12 +80,13 @@ def _load_input(args) -> DataMatrix:
     return data
 
 
-def _fit_and_write(args, data, lam, *preamble) -> None:
-    """Fit the graphical lasso at ``lam``; once it succeeds, print the
-    ``preamble`` lines and the fit summary and write the precision matrix and
-    the edge list."""
-    A = empirical_covariance(data, center=not args.no_center)
-    result = glasso(A, SolverConfig.from_settings(args, lam))
+def _fit_and_write(args, data, A, lam, *preamble) -> None:
+    """Fit the graphical lasso to ``A`` at ``lam``; once it succeeds, print
+    the ``preamble`` lines and the fit summary and write the precision matrix
+    and the edge list."""
+    config = SolverConfig.from_settings(args, lam)
+    _check_zero_tol(args.zero_tol)
+    result = glasso(A, config)
     edges = edges_from_precision(result.precision, args.zero_tol)
     for line in preamble:
         print(line)
@@ -104,13 +106,23 @@ def _fit_and_write(args, data, lam, *preamble) -> None:
 
 
 def _cmd_fit(args) -> int:
-    _fit_and_write(args, _load_input(args), args.lam, f"lambda = {format_real(args.lam)}")
+    data = _load_input(args)
+    A = empirical_covariance(data, center=not args.no_center)
+    _fit_and_write(args, data, A, args.lam, f"lambda = {format_real(args.lam)}")
     return 0
 
 
 def _cmd_robsel(args) -> int:
     data = _load_input(args)
     config = RobselConfig(alpha=args.alpha, B=args.bootstrap, seed=args.seed)
+    if not args.no_fit:
+        # The fit's rules are applied before the bootstrap, so that a fit
+        # bound to fail prints and writes nothing. Any lambda the bootstrap
+        # picks is valid, and so is 0.
+        A = empirical_covariance(data, center=not args.no_center)
+        SolverConfig.from_settings(args, 0.0)
+        _check_zero_tol(args.zero_tol)
+        _check_variances(A, args.penalize_diagonal)
     selection = robsel_lambda(
         data, config, center=not args.no_center, threads=args.threads
     )
@@ -122,7 +134,7 @@ def _cmd_robsel(args) -> int:
         [(args.alpha, selection.lam, selection.order_index, args.bootstrap)],
     )
     if not args.no_fit:
-        _fit_and_write(args, data, selection.lam)
+        _fit_and_write(args, data, A, selection.lam)
     return 0
 
 

@@ -20,6 +20,7 @@ from .core import (
     DEFAULT_ZERO_TOL,
     SelectionResult,
     _check_seed,
+    _check_zero_tol,
     _cov,
     as_data_matrix,
     check_square_symmetric,
@@ -27,7 +28,7 @@ from .core import (
     parallel_map,
 )
 from .errors import InvalidInputError
-from .solver import SolverConfig, glasso
+from .solver import SolverConfig, _check_variances, glasso
 
 @dataclass
 class RobselConfig:
@@ -183,11 +184,18 @@ def robsel_fit(
     center: bool = True,
     threads: int = 1,
 ) -> SelectionResult:
-    """Bootstrap-select the penalty, then fit the graphical lasso with it."""
+    """Bootstrap-select the penalty, then fit the graphical lasso with it.
+
+    ``zero_tol`` and, with the diagonal unpenalized, the variances are
+    checked before the bootstrap.
+    """
     data = as_data_matrix(data)
-    selection = robsel_lambda(data, config, center=center, threads=threads)
     base = solver_config if solver_config is not None else SolverConfig(lam=0.0)
-    result = glasso(_cov(data.values, center=center), replace(base, lam=selection.lam))
+    _check_zero_tol(zero_tol)
+    A = _cov(data.values, center=center)
+    _check_variances(A, base.penalize_diagonal)
+    selection = robsel_lambda(data, config, center=center, threads=threads)
+    result = glasso(A, replace(base, lam=selection.lam))
     return SelectionResult(
         method="robsel",
         alpha=config.alpha,

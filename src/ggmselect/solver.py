@@ -8,9 +8,11 @@ where A is an empirical covariance matrix and P(K) sums |K_ij| over all
 entries (``penalize_diagonal=True``) or over off-diagonal entries only.
 The problem first splits into the connected components of the thresholded
 covariance {|A_ij| > lambda}, which are exactly the diagonal blocks of the
-solution. Each block of two or more variables is solved by block coordinate
-descent over columns: each column update is a lasso problem on the
-partitioned system, solved exactly by feature-sign search.
+solution. Blocks of one and two variables have closed forms. Each larger
+block is solved by block coordinate descent over columns: each column
+update is a lasso problem on the partitioned system, solved exactly by
+feature-sign search, whose systems of one or two active coefficients are
+solved in closed form too.
 Optimality is certified by the max-norm violation of the subgradient
 conditions
 
@@ -23,6 +25,7 @@ with W = K^-1 and the diagonal included according to ``penalize_diagonal``
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields
 
@@ -57,38 +60,75 @@ def _feature_sign(Q, b, lam, beta, tol, free=True):
     ``tol``. Each step lowers the objective, so the search ends in finitely
     many steps.
 
+    Each step gathers the rows Q_S once; Q_SS and the returned product
+    beta_S' Q_S both come from them. About a third of the active systems of
+    a glasso path hold one or two coordinates; those are solved in closed
+    form (see ``_solve_active``), as a LAPACK call costs far more than their
+    arithmetic.
+
     Raises SingularInputError if Q_SS is singular.
     """
     support = beta.nonzero()[0]
     theta = np.sign(beta[support])
     for _ in range(_MAX_STEPS):
         if support.size:
-            block = Q[support[:, None], support]
+            rows = Q.take(support, 0)
+            block = rows.take(support, 1)
             rhs = b[support]
-            try:
-                target = np.linalg.solve(block, rhs - lam * theta)
-            except np.linalg.LinAlgError:
-                raise SingularInputError(
-                    "working covariance is singular on a column's active set; "
-                    "the input may be too ill-conditioned"
-                ) from None
-            if (target * theta).min() <= 0.0:
+            target = _solve_active(block, rhs - lam * theta)
+            agree = target * theta
+            if agree[agree.argmin()] <= 0.0:
                 coef = _segment_search(block, rhs, lam, beta[support], target)
                 beta[support] = coef
-                support = support[coef != 0.0]
-                theta = np.sign(beta[support])
+                kept = coef != 0.0
+                support = support[kept]
+                theta = np.sign(coef[kept])
                 continue
             beta[support] = target
-        w = beta[support] @ Q[support]
+            w = target @ rows
+        else:
+            w = np.zeros_like(b)
         violation = np.abs(w - b)
-        violation[support] = 0.0
         violation *= free
+        violation[support] = 0.0
         i = violation.argmax()
         if violation[i] <= lam + tol:
             return w
-        support = np.append(support, i)
-        theta = np.append(theta, -np.sign(w[i] - b[i]))
+        support = np.concatenate((support, (i,)))
+        theta = np.concatenate((theta, (-1.0 if w[i] > b[i] else 1.0,)))
     return beta[support] @ Q[support]
+
+
+def _solve_active(block, rhs):
+    """Solution x of block @ x = rhs for the PD active block of a column.
+
+    One and two coordinates have closed forms: x = rhs / q, and Cramer's
+    rule, which is forward stable at this size; a pivot or determinant that
+    is not positive means the block is not PD. Larger blocks are solved by
+    LU, which fails only on an exactly singular one.
+
+    Raises SingularInputError if the block is singular.
+    """
+    size = rhs.size
+    if size == 1:
+        pivot = block.item()
+        if pivot > 0.0:
+            return rhs / pivot
+    elif size == 2:
+        (a, c), (_, e) = block.tolist()
+        det = a * e - c * c
+        if a > 0.0 and det > 0.0:
+            r0, r1 = rhs.tolist()
+            return np.array(((e * r0 - c * r1) / det, (a * r1 - c * r0) / det))
+    else:
+        try:
+            return np.linalg.solve(block, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    raise SingularInputError(
+        "working covariance is singular on a column's active set; "
+        "the input may be too ill-conditioned"
+    )
 
 
 def _segment_search(Q, b, lam, start, end):
@@ -218,9 +258,27 @@ def _penalty(precision, lam, penalize_diagonal) -> float:
 
 
 def _check_psd(A) -> None:
+    """Reject A with an eigenvalue below -1e-8 * max(1, max |A_ij|).
+
+    That holds exactly when A + 1e-8 * scale * I is not positive definite,
+    which its Cholesky factorization tells up to rounding of about
+    d * eps * scale, at a fraction of the cost of the eigenvalues.
+    """
     scale = max(1.0, float(np.abs(A).max()))
-    if float(np.linalg.eigvalsh(A).min()) < -1e-8 * scale:
-        raise InvalidInputError("covariance input is not positive semidefinite")
+    try:
+        np.linalg.cholesky(A + 1e-8 * scale * np.eye(A.shape[0]))
+    except np.linalg.LinAlgError:
+        raise InvalidInputError("covariance input is not positive semidefinite") from None
+
+
+def _check_variances(A, penalize_diagonal: bool) -> None:
+    """The off-diagonal-only penalty needs every variance positive: with a
+    zero variance and lambda > 0 the objective has no minimum. Raises
+    SingularInputError otherwise."""
+    if not penalize_diagonal and float(np.diag(A).min()) <= 0.0:
+        raise SingularInputError(
+            "off-diagonal-only penalty requires strictly positive variances"
+        )
 
 
 def _subgradient_residual(precision, inverse, A, lam, penalize_diagonal) -> float:
@@ -297,8 +355,9 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
     the graph {(i, j) : i != j, |A_ij| > lambda} are the diagonal blocks of
     the solution (Witten, Friedman & Simon 2011; Mazumder & Hastie 2012).
     Each single-variable component has the closed form 1 / (A_ii + lambda),
-    or 1 / A_ii when the diagonal is not penalized; each larger component is
-    solved on its own. ``sweeps_used`` is the largest sweep count over the
+    or 1 / A_ii when the diagonal is not penalized, and each two-variable
+    component the one of ``_solve_pair``; both count 0 sweeps. Each larger
+    component is solved on its own. ``sweeps_used`` is the largest sweep count over the
     components, ``block_sizes`` lists their sizes, and the KKT residual is
     always computed on the full matrix.
     """
@@ -313,10 +372,7 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
             A, "lambda = 0 requires a strictly positive definite covariance"
         )
     else:
-        if not config.penalize_diagonal and float(np.diag(A).min()) <= 0.0:
-            raise SingularInputError(
-                "off-diagonal-only penalty requires strictly positive variances"
-            )
+        _check_variances(A, config.penalize_diagonal)
         if init is not None:
             init = check_square_symmetric(init, "warm start")
             if init.shape != A.shape:
@@ -324,13 +380,15 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
             _cholesky(init, "warm start is not positive definite")
 
         labels = _components(np.abs(A) > lam)
+        sizes = np.bincount(labels)
         precision = np.zeros_like(A)
         shift = lam if config.penalize_diagonal else 0.0
-        for block in range(labels.max() + 1):
+        singles = np.flatnonzero(sizes[labels] == 1)
+        precision[singles, singles] = 1.0 / (A[singles, singles] + shift)
+        for block in np.flatnonzero(sizes > 1):
             idx = np.flatnonzero(labels == block)
-            if idx.size == 1:
-                i = idx[0]
-                precision[i, i] = 1.0 / (A[i, i] + shift)
+            if idx.size == 2:
+                _solve_pair(A, precision, idx, lam, shift)
                 continue
             sub = np.ix_(idx, idx)
             sub_init = None if init is None else init[sub]
@@ -357,6 +415,30 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
         converged=converged,
         block_sizes=tuple(sorted(np.bincount(labels).tolist(), reverse=True)),
     )
+
+
+def _solve_pair(A, precision, idx, lam, shift) -> None:
+    """Write the exact solution of the two-variable component ``idx`` into
+    ``precision``.
+
+    The pair is connected, so |A_01| > lam > 0: W_01 = A_01 - lam*sign(A_01)
+    meets its condition with sign(K_01) = -sign(W_01) = -sign(A_01), W_ii =
+    A_ii + shift meets the diagonal one, and K = W^-1. W is PD whenever A is
+    PSD, as (|A_01| - lam)^2 < A_01^2 <= A_00 A_11.
+    """
+    i, j = idx.tolist()
+    a, e = A[i, i] + shift, A[j, j] + shift
+    c = A[i, j]
+    c -= math.copysign(lam, c)
+    det = a * e - c * c
+    if det <= 0.0:
+        raise SingularInputError(
+            "working covariance of a two-variable block is singular; "
+            "the input may be too ill-conditioned"
+        )
+    precision[i, i] = e / det
+    precision[j, j] = a / det
+    precision[i, j] = precision[j, i] = -c / det
 
 
 def _glasso_block(A, config: SolverConfig, init):
@@ -417,14 +499,14 @@ def _column_sweeps(A, config: SolverConfig, init):
         precision = np.diag(1.0 / np.diag(W))
 
     inner_tol = 0.1 * config.kkt_tol
-    indices = np.arange(d)
+    off_diagonal = ~np.eye(d, dtype=bool)
     sweeps = 0
 
     for sweeps in range(1, config.max_sweeps + 1):
         for j in range(d):
             beta = precision[j] / -precision[j, j]
             beta[j] = 0.0
-            w12 = _feature_sign(W, A[j], lam, beta, inner_tol, indices != j)
+            w12 = _feature_sign(W, A[j], lam, beta, inner_tol, off_diagonal[j])
             w12[j] = W[j, j]
             W[:, j] = w12
             W[j] = w12

@@ -25,6 +25,7 @@ import numpy as np
 from .core import (
     DEFAULT_ZERO_TOL,
     _check_seed,
+    _check_zero_tol,
     _cov,
     as_data_matrix,
     edges_from_precision,
@@ -207,7 +208,12 @@ def ebic_select(
     zero_tol: float = DEFAULT_ZERO_TOL,
     center: bool = True,
 ) -> TuningResult:
-    """Fit the full grid (warm-started, descending) and minimize the EBIC."""
+    """Fit the full grid (warm-started, descending) and minimize the EBIC.
+
+    ``gamma`` and ``zero_tol`` are checked before the first fit.
+    """
+    _check_tuning(gamma=gamma)
+    _check_zero_tol(zero_tol)
     data = as_data_matrix(data)
     A = _cov(data.values, center=center)
     base = solver_config if solver_config is not None else SolverConfig(lam=0.0)

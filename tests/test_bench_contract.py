@@ -66,3 +66,27 @@ def test_wrapped_names_are_called_through(tmp_path):
     assert len(spans(1, "robsel.bootstrap_rwp_samples")) == 2
     assert len(spans(1, "core._cov")) == 2
     assert len(spans(1, "core.atomic_text_writer")) == 2
+
+
+def test_ebic_tune_fits_and_scores_each_grid_point_through_the_tracer(tmp_path):
+    # The benchmark's solver.solves and tuning.grid_points count these spans:
+    # one tuning.glasso and one tuning.ebic_score call per grid point, each a
+    # child of the one tuning.ebic_select span, whose grid_points count is
+    # the grid size.
+    tracing = load_tracing()
+    assert cli.main(["simulate", "--d", "6", "--edge-prob", "0.3", "--n", "40",
+                     "-o", str(tmp_path / "sim")]) == 0
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.op_span(0):
+            assert cli.main(["tune", "-i", str(tmp_path / "sim.data.csv"), "--method",
+                             "ebic", "--grid-size", "4", "-o", str(tmp_path / "ebic")]) == 0
+    finally:
+        tracer.uninstall()
+    (select,) = [s for s in tracer.spans if s.name == "tuning.ebic_select"]
+    assert select.counts == {"grid_points": 4}
+    for name in ("solver.glasso", "tuning.ebic_score"):
+        calls = [s for s in tracer.spans if s.name == name]
+        assert len(calls) == 4
+        assert all(s.parent == select.id for s in calls)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ggmselect as gs
-from ggmselect import simulation
+from ggmselect import robsel, simulation, tuning
 from ggmselect.cli import build_parser, main
 
 from helpers import subprocess_env
@@ -283,6 +283,59 @@ def test_negative_seed_is_usage_error(tmp_path, sample_csv, capsys, command):
     captured = capsys.readouterr()
     assert captured.err == "error: InvalidInputError: seed must be nonnegative, got -1\n"
     assert list(tmp_path.glob("out.*")) == []
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--gamma", "gamma must be >= 0, got -1.0"), ("--zero-tol", "zero_tol must be nonnegative, got -1.0")],
+    ids=["gamma", "zero-tol"],
+)
+def test_ebic_tune_rejects_a_bad_setting_before_any_fit(
+    tmp_path, sample_csv, capsys, monkeypatch, flag, message
+):
+    fits = []
+    glasso = tuning.glasso
+    monkeypatch.setattr(tuning, "glasso", lambda *args: fits.append(args) or glasso(*args))
+    args = ["tune", "-i", sample_csv, "--method", "ebic", flag, "-1", "-o", tmp_path / "out"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: InvalidInputError: {message}\n"
+    assert captured.out == "" and fits == []
+    assert list(tmp_path.glob("out.*")) == []
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--zero-tol", "-1"], "InvalidInputError: zero_tol must be nonnegative, got -1.0"),
+        (["--kkt-tol", "0"], "InvalidInputError: kkt_tol must be positive, got 0.0"),
+        (
+            ["--no-penalize-diagonal"],
+            "SingularInputError: off-diagonal-only penalty requires strictly positive variances",
+        ),
+    ],
+    ids=["zero-tol", "kkt-tol", "zero-variance"],
+)
+def test_robsel_rejects_a_failing_fit_before_the_bootstrap(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    data = gs.sample_gaussian(gs.generate_precision(5, 0.3, seed=7), 60, seed=8).values
+    data[:, 2] = 2.0  # a zero variance, which only the unpenalized diagonal rejects
+    path = tmp_path / "data.csv"
+    np.savetxt(path, data, delimiter=",")
+    boots = []
+    monkeypatch.setattr(robsel, "bootstrap_rwp_samples", lambda *args, **kwargs: boots.append(args))
+    args = ["robsel", "-i", path, "--alpha", "0.1", "--bootstrap", "20", *flags, "-o", tmp_path / "out"]
+    assert run_cli(args) == (1 if "Singular" in message else 2)
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and boots == []
+    assert list(tmp_path.glob("out.*")) == []
+    # The same data fit with the default settings, and without a fit the
+    # fit's settings are not used.
+    monkeypatch.undo()
+    assert run_cli(["robsel", "-i", path, "--alpha", "0.1", "--bootstrap", "20", "-o", tmp_path / "ok"]) == 0
+    assert run_cli([*args[:-2], "--no-fit", "-o", tmp_path / "nofit"]) == 0
 
 
 def test_parser_defaults_match_the_experiment_plan():

@@ -231,6 +231,22 @@ def test_robsel_fit_degenerate_data_propagates_singularity():
         gs.robsel_fit(data, gs.RobselConfig(alpha=0.5, B=20, seed=1))
 
 
+def test_robsel_fit_rejects_a_failing_fit_before_the_bootstrap(monkeypatch):
+    data = gs.sample_gaussian(gs.generate_precision(5, 0.3, seed=7), 60, seed=8).values
+    data[:, 2] = 2.0  # a zero variance, which only the unpenalized diagonal rejects
+    config = gs.RobselConfig(alpha=0.1, B=20, seed=1)
+    boots = []
+    monkeypatch.setattr(robsel, "bootstrap_rwp_samples", lambda *args, **kwargs: boots.append(args))
+    with pytest.raises(InvalidInputError, match="zero_tol"):
+        gs.robsel_fit(data, config, zero_tol=-1.0)
+    unpenalized = gs.SolverConfig(lam=0.0, penalize_diagonal=False)
+    with pytest.raises(SingularInputError, match="strictly positive variances"):
+        gs.robsel_fit(data, config, solver_config=unpenalized)
+    assert boots == []
+    monkeypatch.undo()
+    assert gs.robsel_fit(data, config).diagnostics["converged"]
+
+
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         gs.RobselConfig(alpha=0.0)

@@ -178,6 +178,25 @@ def test_rejects_non_psd_input():
     A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     with pytest.raises(InvalidInputError, match="positive semidefinite"):
         gs.glasso(A, gs.SolverConfig(lam=0.1))
+    # The gate allows a smallest eigenvalue down to -1e-8 * max(1, max|A_ij|),
+    # so an exactly singular sample covariance (n < d) passes.
+    rng = np.random.default_rng(22)
+    for factor in (1.0, 1e3):
+        singular = factor * random_covariance(rng, 8, n=4)
+        values, vectors = np.linalg.eigh(singular)
+        scale = max(1.0, np.abs(singular).max())
+        null = np.outer(vectors[:, 0], vectors[:, 0])
+        for relative, accepted in ((None, True), (-1e-9, True), (-1e-7, False)):
+            A = singular
+            if relative is not None:
+                A = singular + (relative * scale - values[0]) * null
+                assert np.linalg.eigvalsh(A)[0] == pytest.approx(relative * scale, rel=1e-3)
+            config = gs.SolverConfig(lam=0.1 * gs.max_offdiag_abs(A))
+            if accepted:
+                assert gs.glasso(A, config).converged
+            else:
+                with pytest.raises(InvalidInputError, match="positive semidefinite"):
+                    gs.glasso(A, config)
 
 
 def test_zero_penalty_on_singular_input_fails():
@@ -307,6 +326,13 @@ def test_kernel_edge_cases_optimal_against_scalar_oracle():
     for b1 in (-1.0, 0.2, 3.0):
         for start in (0.0, -0.7):
             _assert_kernel_optimal(Q1, np.array([b1]), 0.5, np.array([start]))
+    # One- and two-coordinate active sets take the closed forms, down to a
+    # pair of condition number 2000.
+    for corr in (0.0, 0.6, -0.95, 0.999):
+        Q2 = np.array([[1.0, corr], [corr, 1.0]]) * rng.uniform(0.1, 10.0)
+        for _ in range(10):
+            start = rng.standard_normal(2) * (rng.random(2) < 0.7)
+            _assert_kernel_optimal(Q2, rng.standard_normal(2), rng.uniform(0.0, 0.5), start)
     for _ in range(5):
         Q = random_covariance(rng, 12) + 0.1 * np.eye(12)
         b = rng.standard_normal(12)
@@ -403,10 +429,30 @@ def _failing_solve(monkeypatch, failures):
 
 
 def test_kernel_singular_active_block_raises_singular_input(monkeypatch):
+    # One and two coordinates are solved in closed form: a pivot or a
+    # determinant that is not positive is singular.
+    for Q in (np.zeros((1, 1)), np.ones((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
+        m = Q.shape[0]
+        with pytest.raises(SingularInputError, match="singular on a column's active set"):
+            _feature_sign(Q, np.ones(m), 0.1, np.ones(m), 1e-9)
     _failing_solve(monkeypatch, 1)
     Q = np.eye(3)
     with pytest.raises(SingularInputError, match="singular on a column's active set"):
         _feature_sign(Q, np.ones(3), 0.1, np.ones(3), 1e-9)
+
+
+def test_small_active_systems_match_lu_solve():
+    rng = np.random.default_rng(42)
+    eps = np.finfo(float).eps
+    for m in (1, 2):
+        for _ in range(300):
+            block = random_covariance(rng, m, n=m + 2) + 10.0 ** -rng.integers(0, 8) * np.eye(m)
+            block *= 10.0 ** rng.uniform(-3, 3)
+            rhs = rng.standard_normal(m)
+            x = solver._solve_active(block, rhs)
+            expected = np.linalg.solve(block, rhs)
+            bound = 16 * eps * np.linalg.cond(block) * np.abs(expected).max()
+            assert np.abs(x - expected).max() <= bound
 
 
 def test_singular_active_block_on_warm_start_falls_back_to_cold_start(monkeypatch):
@@ -558,6 +604,33 @@ def test_screened_solve_agrees_with_unscreened_block_solve(
     assert screened.kkt_residual == gs.kkt_residual(screened.precision, A, config)
     assert screened.kkt_residual <= config.kkt_tol
     assert gs.kkt_residual(unscreened, A, config) <= config.kkt_tol
+
+
+@pytest.mark.parametrize("penalize_diagonal", [True, False])
+def test_two_variable_component_closed_form_matches_block_solve(penalize_diagonal):
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        A = random_covariance(rng, 2, n=int(rng.integers(2, 30)))
+        A *= 10.0 ** rng.uniform(-2, 2)
+        config = gs.SolverConfig(
+            lam=rng.uniform(0.05, 0.95) * gs.max_offdiag_abs(A),
+            penalize_diagonal=penalize_diagonal,
+        )
+        result = gs.glasso(A, config)
+        assert result.block_sizes == (2,) and result.sweeps_used == 0
+        assert result.converged
+        assert result.kkt_residual == gs.kkt_residual(result.precision, A, config)
+        swept, sweeps = _glasso_block(A, config, None)
+        assert sweeps >= 1
+        assert np.abs(result.precision - swept).max() <= 1e-12 * np.abs(swept).max()
+    # Just past PSD, inside the gate, a tiny penalty leaves no PD W; the
+    # sweeps fail on the same pair.
+    A = np.array([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]])
+    config = gs.SolverConfig(lam=1e-10, penalize_diagonal=penalize_diagonal)
+    with pytest.raises(SingularInputError, match="two-variable block is singular"):
+        gs.glasso(A, config)
+    with pytest.raises(SingularInputError):
+        _glasso_block(A, config, None)
 
 
 @pytest.mark.parametrize("penalize_diagonal", [True, False])
