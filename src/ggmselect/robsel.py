@@ -7,6 +7,8 @@ A*_b and profile values R*_b = rwp(A*_b, A_n); the penalty for confidence
 level 1 - alpha is the order statistic of the sorted R*_b at rank
 ceil((B + 1) * (1 - alpha)), clamped to [1, B]. Smaller alpha therefore
 selects a larger penalty and a sparser graph.
+
+All B replicates are computed together, one tile of pairs (i, j) at a time.
 """
 
 from __future__ import annotations
@@ -82,52 +84,49 @@ def order_statistic_rank(B: int, alpha: float) -> int:
     return min(max(int(rank), 1), B)
 
 
-#: Replicates per block handed to ``parallel_map``. Fixed, so that BLAS sees
-#: the same shapes, and R* is bit-identical, at every thread count.
-_REPLICATE_BLOCK = 100
-#: Upper-triangle pairs (i <= j) per tile of the count-weighted product.
+#: Upper-triangle pairs (i <= j) per tile, the unit of parallel work.
 _PAIR_BLOCK = 256
 #: Rows of the data per chunk of the count-weighted product.
 _ROW_CHUNK = 128
 
 
-def _bootstrap_block(X, A, center: bool, seed: int, replicates) -> np.ndarray:
-    """R*_b for each replicate b in ``replicates``, from resample counts.
-
-    Replicate b draws ``default_rng((seed, b)).integers(0, n, n)``; with c_b
-    the number of times each row was drawn, its second moment is
-    S_b = sum_k c_bk x_k x_k^T / n, less m_b m_b^T (m_b = sum_k c_bk x_k / n)
-    when it is centered at its own mean. S_b is accumulated one tile of
-    pairs (i, j), i <= j, at a time, over chunks of rows, so that neither
-    the n x d(d+1)/2 products nor the float counts are held whole.
-    """
+def _resamples(X, B: int, seed: int, center: bool):
+    """Counts c_bk of each row k in the draw of replicate b = 1..B,
+    ``default_rng((seed, b)).integers(0, n, n)``, stored exactly as
+    ``np.min_scalar_type(n)``; and with ``center`` the resample means
+    m_b = sum_k c_bk x_k / n, else None."""
     n, d = X.shape
-    counts = np.empty((len(replicates), n), dtype=np.int32)
-    for k, b in enumerate(replicates):
+    counts = np.empty((B, n), dtype=np.min_scalar_type(n))
+    for b in range(1, B + 1):
         draw = np.random.default_rng((seed, b)).integers(0, n, n)
-        counts[k] = np.bincount(draw, minlength=n)
-    chunks = [slice(start, start + _ROW_CHUNK) for start in range(0, n, _ROW_CHUNK)]
-    if center:
-        means = np.zeros((len(replicates), d))
-        for rows in chunks:
-            means += counts[:, rows].astype(float) @ X[rows]
-        means /= n
-    rows_i, cols_j = np.triu_indices(d)
-    result = np.zeros(len(replicates))
-    for start in range(0, rows_i.size, _PAIR_BLOCK):
-        I = rows_i[start:start + _PAIR_BLOCK]
-        J = cols_j[start:start + _PAIR_BLOCK]
-        S = np.zeros((len(replicates), I.size))
-        for rows in chunks:
-            products = X[rows, I]
-            products *= X[rows, J]
-            S += counts[:, rows].astype(float) @ products
-        S /= n
-        if center:
-            S -= means[:, I] * means[:, J]
-        S -= A[I, J]
-        np.maximum(result, np.abs(S, out=S).max(axis=1), out=result)
-    return result
+        counts[b - 1] = np.bincount(draw, minlength=n)
+    if not center:
+        return counts, None
+    means = np.zeros((B, d))
+    for start in range(0, n, _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
+        means += counts[:, rows].astype(float) @ X[rows]
+    return counts, means / n
+
+
+def _tile_maxima(X, A, counts, means, I, J) -> np.ndarray:
+    """max over the pairs (I, J) of |S_b - A| for every replicate b, where
+    S_b = sum_k c_bk x_k x_k^T / n, less m_b m_b^T when ``means`` is given.
+    Each chunk of rows forms its products x_ki x_kj once and weights them by
+    all B count rows in one product, so neither the n x d(d+1)/2 products
+    nor the float counts are held whole."""
+    n = X.shape[0]
+    S = np.zeros((counts.shape[0], I.size))
+    for start in range(0, n, _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
+        products = X[rows, I]
+        products *= X[rows, J]
+        S += counts[:, rows].astype(float) @ products
+    S /= n
+    if means is not None:
+        S -= means[:, I] * means[:, J]
+    S -= A[I, J]
+    return np.abs(S, out=S).max(axis=1)
 
 
 def bootstrap_rwp_samples(data, config: RobselConfig, center: bool = True, threads: int = 1) -> np.ndarray:
@@ -137,8 +136,10 @@ def bootstrap_rwp_samples(data, config: RobselConfig, center: bool = True, threa
     or with ``center=False`` the raw second moment of the resample. (To
     center replicates at the full-sample mean instead, center the data at
     its mean and pass ``center=False``.) Replicate b depends only on
-    (config.seed, b), and replicates are computed in blocks of a fixed size,
-    so parallel and serial execution produce bit-identical results.
+    (config.seed, b). All B count rows are held at once, at most B * n * 2
+    bytes below n = 65536, so memory grows linearly in B. Each tile of pairs
+    (i, j) is one task at shapes fixed by (B, n, d), and R*_b is the maximum
+    over the tiles, so every thread count gives bit-identical results.
     """
     data = as_data_matrix(data)
     values = data.values
@@ -147,16 +148,11 @@ def bootstrap_rwp_samples(data, config: RobselConfig, center: bool = True, threa
     # data centered at its mean, where S_b - m_b m_b^T cancels less.
     if center:
         values = values - values.mean(axis=0)
-    blocks = [
-        range(start, min(start + _REPLICATE_BLOCK, config.B + 1))
-        for start in range(1, config.B + 1, _REPLICATE_BLOCK)
-    ]
-    samples = parallel_map(
-        lambda replicates: _bootstrap_block(values, A, center, config.seed, replicates),
-        blocks,
-        threads,
-    )
-    return np.sort(np.concatenate(samples))
+    counts, means = _resamples(values, config.B, config.seed, center)
+    pairs = np.array(np.triu_indices(values.shape[1]))
+    tiles = np.split(pairs, range(_PAIR_BLOCK, pairs.shape[1], _PAIR_BLOCK), axis=1)
+    maxima = parallel_map(lambda tile: _tile_maxima(values, A, counts, means, *tile), tiles, threads)
+    return np.sort(np.max(maxima, axis=0))
 
 
 def robsel_lambda(data, config: RobselConfig, center: bool = True, threads: int = 1) -> RobselResult:

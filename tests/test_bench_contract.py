@@ -33,6 +33,9 @@ def test_wrapped_names_are_called_through(tmp_path):
     data = tmp_path / "sim.data.csv"
     assert cli.main(["simulate", "--d", "6", "--edge-prob", "0.3", "--n", "40",
                      "-o", str(tmp_path / "sim")]) == 0
+    # 30 variables make 465 pairs, two bootstrap tiles for the pool threads.
+    assert cli.main(["simulate", "--d", "30", "--edge-prob", "0.1", "--n", "40",
+                     "-o", str(tmp_path / "wide")]) == 0
     plan = tmp_path / "plan.cfg"
     plan.write_text(
         "d = 6\nedge_prob = 0.3\nsample_sizes = 40\nreplications = 2\n"
@@ -48,6 +51,10 @@ def test_wrapped_names_are_called_through(tmp_path):
         with tracer.op_span(1):
             assert cli.main(["--threads", "2", "experiment", "--config", str(plan),
                              "-o", str(tmp_path / "sweep")]) == 0
+        with tracer.op_span(2):
+            assert cli.main(["--threads", "3", "robsel", "-i", str(tmp_path / "wide.data.csv"),
+                             "--alpha", "0.2", "--bootstrap", "10", "--no-fit",
+                             "-o", str(tmp_path / "threaded")]) == 0
     finally:
         tracer.uninstall()
 
@@ -66,6 +73,11 @@ def test_wrapped_names_are_called_through(tmp_path):
     assert len(spans(1, "robsel.bootstrap_rwp_samples")) == 2
     assert len(spans(1, "core._cov")) == 2
     assert len(spans(1, "core.atomic_text_writer")) == 2
+    # With its tiles on pool threads the bootstrap is still one span with
+    # the replicate count, which robsel.replicates_per_s divides by.
+    (boot,) = spans(2, "robsel.bootstrap_rwp_samples")
+    assert tracer.spans[boot.parent].name == "robsel.robsel_lambda"
+    assert boot.counts == {"replicates": 10}
 
 
 def test_ebic_tune_fits_and_scores_each_grid_point_through_the_tracer(tmp_path):

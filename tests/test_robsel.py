@@ -7,7 +7,7 @@ import pytest
 import ggmselect as gs
 from ggmselect import InvalidInputError, SingularInputError
 
-from ggmselect import robsel
+from ggmselect import core, robsel
 from ggmselect.core import _cov
 
 from helpers import bootstrap_rwp_reference, random_covariance
@@ -144,10 +144,11 @@ CENTERS = pytest.mark.parametrize(
 SHAPES = pytest.mark.parametrize(
     "n,d,B",
     [
-        (60, 4, 250),  # three replicate blocks, the last one partial
-        (40, 5, 7),  # fewer replicates than one block
+        (60, 4, 250),  # more replicates than rows; uint8 counts
+        (40, 5, 7),  # few replicates
         (6, 9, 30),  # n < d
-        (300, 30, 120),  # several pair tiles and row chunks
+        (300, 30, 120),  # several pair tiles and row chunks; uint16 counts
+        (70000, 2, 3),  # uint32 counts
     ],
 )
 
@@ -179,25 +180,51 @@ def test_full_sample_mean_centering_is_center_false_on_centered_data(n, d, B):
 @CENTERS
 def test_bootstrap_block_of_a_single_variable(center):
     # Data matrices need two columns, so the one-pair tile is checked on the
-    # block itself.
+    # tile function itself.
     rng = np.random.default_rng(40)
     data = rng.standard_normal((50, 1)) + 3.0
     config = gs.RobselConfig(alpha=0.2, B=40, seed=13)
     X = data - data.mean(axis=0) if center else data
-    samples = robsel._bootstrap_block(
-        X, _cov(data, center), center, config.seed, range(1, config.B + 1)
-    )
+    counts, means = robsel._resamples(X, config.B, config.seed, center)
+    pair = np.zeros(1, dtype=int)
+    samples = robsel._tile_maxima(X, _cov(data, center), counts, means, pair, pair)
     expected = bootstrap_rwp_reference(data, config, center=center)
     np.testing.assert_allclose(np.sort(samples), expected, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n,dtype", [(255, np.uint8), (256, np.uint16), (70000, np.uint32)])
+def test_resample_counts_are_exact_in_the_narrowest_dtype(n, dtype):
+    counts, means = robsel._resamples(np.zeros((n, 2)), 3, 16, center=False)
+    assert counts.dtype == dtype
+    assert means is None
+    for b in (1, 2, 3):
+        draw = np.random.default_rng((16, b)).integers(0, n, n)
+        assert np.array_equal(counts[b - 1], np.bincount(draw, minlength=n))
+
+
 def test_bootstrap_is_bit_identical_across_threads_over_several_blocks():
+    # d = 12 is one pair tile; d = 40 has 820 pairs, four tiles.
     rng = np.random.default_rng(41)
-    data = rng.standard_normal((150, 12))
-    config = gs.RobselConfig(alpha=0.1, B=250, seed=14)
-    serial = gs.bootstrap_rwp_samples(data, config, threads=1)
-    for threads in (2, 3):
-        assert np.array_equal(serial, gs.bootstrap_rwp_samples(data, config, threads=threads))
+    for d, B in ((12, 250), (40, 7), (40, 250)):
+        data = rng.standard_normal((150, d))
+        config = gs.RobselConfig(alpha=0.1, B=B, seed=14)
+        serial = gs.bootstrap_rwp_samples(data, config, threads=1)
+        for threads in (2, 3, 5):
+            assert np.array_equal(serial, gs.bootstrap_rwp_samples(data, config, threads=threads))
+
+
+@pytest.mark.parametrize("B", [7, 250])
+def test_bootstrap_hands_the_pool_one_item_per_pair_tile(monkeypatch, B):
+    handed = []
+
+    def spy(fn, items, threads):
+        handed.append((len(items), threads))
+        return core.parallel_map(fn, items, threads)
+
+    monkeypatch.setattr(robsel, "parallel_map", spy)
+    data = np.random.default_rng(43).standard_normal((60, 40))
+    gs.bootstrap_rwp_samples(data, gs.RobselConfig(alpha=0.1, B=B, seed=17), threads=4)
+    assert handed == [(4, 4)]
 
 
 def test_bootstrap_working_set_stays_small():
