@@ -324,7 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument(
-        "--bootstrap", type=int, default=RobselConfig.B, help="bootstrap replicates B"
+        "--bootstrap",
+        type=int,
+        default=RobselConfig.B,
+        help="bootstrap replicates B; the B x n resample counts are held at "
+        "once, 2 bytes each below n = 65536, so memory grows linearly in B",
     )
     p.add_argument("--seed", type=int, default=RobselConfig.seed)
     p.add_argument(

@@ -370,7 +370,6 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
     lam = float(config.lam)
 
     sweeps = 0
-    certificate = None
     if lam == 0.0:
         labels = np.zeros(A.shape[0], dtype=int)
         precision = _pd_inverse(
@@ -397,13 +396,10 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
                 continue
             sub = np.ix_(idx, idx)
             sub_init = None if init is None else init[sub]
-            precision[sub], block_sweeps, certificate = _glasso_block(A[sub], config, sub_init)
+            precision[sub], block_sweeps = _glasso_block(A[sub], config, sub_init)
             sweeps = max(sweeps, block_sweeps)
 
-    # A block's last certificate is the solve's own when the block is the whole.
-    if certificate is None or labels.max() > 0:
-        certificate = _certificate(precision, A, config)
-    inverse, factor, resid = certificate
+    inverse, factor, resid = _certificate(precision, A, config)
     if factor is None:
         factor = _cholesky(precision, "solver produced a non-PD precision matrix")
     converged = resid <= config.kkt_tol
@@ -453,7 +449,7 @@ def _glasso_block(A, config: SolverConfig, init):
 
     ``A`` is PSD with lambda > 0 (and a positive diagonal when the diagonal is
     unpenalized); ``init`` is None or a PD warm start of the same shape.
-    Returns what ``_column_sweeps`` returns.
+    Returns (precision, sweeps used); the caller certifies the result.
     """
     if init is not None:
         try:
@@ -480,8 +476,7 @@ def _column_sweeps(A, config: SolverConfig, init):
     precision matrix, written into row and column j alike. W, A and the
     precision iterate are exactly symmetric, so their rows are read in place
     of their columns. A cold start begins every column at beta = 0. Only the
-    full-matrix certificate ends the sweeps. Returns (precision, sweeps used,
-    the last sweep's ``_certificate``).
+    full-matrix certificate ends the sweeps. Returns (precision, sweeps used).
     """
     d = A.shape[0]
     lam = float(config.lam)
@@ -532,8 +527,7 @@ def _column_sweeps(A, config: SolverConfig, init):
 
         # Columns updated one at a time need not give a PD precision iterate
         # while W stays PD (Mazumder & Hastie 2012); the sweeps then go on.
-        certificate = _certificate(precision, A, config)
-        if certificate[1] is not None:
+        if _certificate(precision, A, config)[1] is not None:
             break
 
-    return precision, sweeps, certificate
+    return precision, sweeps

@@ -229,16 +229,20 @@ def test_bootstrap_hands_the_pool_one_item_per_pair_tile(monkeypatch, B):
 
 def test_bootstrap_working_set_stays_small():
     # The products x_i * x_j over all pairs would take 33 MB here; they are
-    # formed one tile at a time.
-    data = np.random.default_rng(42).standard_normal((3200, 50))
-    config = gs.RobselConfig(alpha=0.1, B=200, seed=15)
-    tracemalloc.start()
-    try:
-        gs.bootstrap_rwp_samples(data, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5e6
+    # formed one tile at a time. Past B = 200 each replicate adds its count
+    # row (n entries of 2 bytes) and a row of a few pair-tile buffers.
+    n = 3200
+    data = np.random.default_rng(42).standard_normal((n, 50))
+    per_replicate = n * 2 + 5 * robsel._PAIR_BLOCK * 8
+    for B in (200, 1000):
+        config = gs.RobselConfig(alpha=0.1, B=B, seed=15)
+        tracemalloc.start()
+        try:
+            gs.bootstrap_rwp_samples(data, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6 + (B - 200) * per_replicate
 
 
 def test_robsel_fit_monotone_alpha_composition():

@@ -119,24 +119,6 @@ def test_converged_certificate_is_recheckable():
         assert identity_gap <= 1e-6
 
 
-def test_one_block_solve_reuses_its_last_sweep_certificate(monkeypatch):
-    # When one block spans the matrix, the certificate of the sweep that
-    # stopped is the solve's own: the returned precision is inverted once.
-    A = random_covariance(np.random.default_rng(44), 12)
-    config = gs.SolverConfig(lam=0.05 * gs.max_offdiag_abs(A))
-    init = gs.glasso(A, gs.SolverConfig(lam=0.1 * gs.max_offdiag_abs(A))).precision
-    inverted = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.copy()) or inv(a))
-    result = gs.glasso(A, config, init=init)
-    monkeypatch.undo()
-    assert result.block_sizes == (12,) and result.converged and result.sweeps_used >= 1
-    assert sum(np.array_equal(a, result.precision) for a in inverted) == 1
-    assert np.array_equal(result.covariance, _pd_inverse(result.precision, "not PD"))
-    assert result.kkt_residual == gs.kkt_residual(result.precision, A, config)
-    assert result.objective == gs.objective_value(result.precision, A, config)
-
-
 def test_edge_count_monotone_in_penalty():
     truth = gs.generate_precision(20, 0.08, seed=21)
     data = gs.sample_gaussian(truth, 300, seed=22)
@@ -616,7 +598,7 @@ def test_screened_solve_agrees_with_unscreened_block_solve(
     A, lam = _random_psd_problem(seed, d, n, fraction)
     config = gs.SolverConfig(lam=lam, penalize_diagonal=penalize_diagonal)
     screened = gs.glasso(A, config)
-    unscreened, _, _ = _glasso_block(A, config, None)
+    unscreened, _ = _glasso_block(A, config, None)
     assert screened.converged
     assert np.array_equal(_support(screened.precision), _support(unscreened))
     assert screened.kkt_residual == gs.kkt_residual(screened.precision, A, config)
@@ -638,7 +620,7 @@ def test_two_variable_component_closed_form_matches_block_solve(penalize_diagona
         assert result.block_sizes == (2,) and result.sweeps_used == 0
         assert result.converged
         assert result.kkt_residual == gs.kkt_residual(result.precision, A, config)
-        swept, sweeps, _ = _glasso_block(A, config, None)
+        swept, sweeps = _glasso_block(A, config, None)
         assert sweeps >= 1
         assert np.abs(result.precision - swept).max() <= 1e-12 * np.abs(swept).max()
     # Just past PSD, inside the gate, a tiny penalty leaves no PD W; the
