@@ -35,7 +35,6 @@ from .metrics import (
     MetricRecord,
     confusion,
     jaccard,
-    load_reference_interactions,
     metrics_from_confusion,
     validated_edge_report,
 )
@@ -44,9 +43,7 @@ from .robsel import (
     RobselResult,
     bootstrap_rwp_samples,
     order_statistic_rank,
-    robsel_fit,
     robsel_lambda,
-    rwp,
 )
 from .simulation import (
     ExperimentPlan,
@@ -123,16 +120,13 @@ __all__ = [
     "lambda_grid",
     "load_data_csv",
     "load_experiment_config",
-    "load_reference_interactions",
     "max_offdiag_abs",
     "metrics_from_confusion",
     "objective_value",
     "order_statistic_rank",
     "partial_correlations",
-    "robsel_fit",
     "robsel_lambda",
     "run_experiment",
-    "rwp",
     "sample_gaussian",
     "sidak_adjust",
     "testing_select",

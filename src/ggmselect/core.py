@@ -25,11 +25,16 @@ def symmetrize(matrix) -> np.ndarray:
     return (matrix + matrix.T) / 2.0
 
 
-def check_square_symmetric(matrix, name: str = "matrix", tol: float = 1e-8) -> np.ndarray:
+#: Asymmetry allowed in a symmetric input, relative to its largest entry.
+_SYMMETRY_TOL = 1e-8
+
+
+def check_square_symmetric(matrix, name: str = "matrix") -> np.ndarray:
     """Validate that ``matrix`` is square, finite, and symmetric.
 
-    Returns an exactly symmetric float64 copy. Asymmetry larger than ``tol``
-    relative to the largest absolute entry raises :class:`InvalidInputError`.
+    Returns an exactly symmetric float64 copy. Asymmetry larger than
+    ``_SYMMETRY_TOL`` relative to the largest absolute entry raises
+    :class:`InvalidInputError`.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -37,7 +42,7 @@ def check_square_symmetric(matrix, name: str = "matrix", tol: float = 1e-8) -> n
     if not np.all(np.isfinite(matrix)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     scale = max(1.0, float(np.abs(matrix).max()))
-    if float(np.abs(matrix - matrix.T).max()) > tol * scale:
+    if float(np.abs(matrix - matrix.T).max()) > _SYMMETRY_TOL * scale:
         raise InvalidInputError(f"{name} is not symmetric")
     return symmetrize(matrix)
 
@@ -79,10 +84,6 @@ class DataMatrix:
     def d(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def from_array(cls, values, variable_names=None) -> "DataMatrix":
-        return cls(np.asarray(values, dtype=float), variable_names)
-
     def names(self) -> list[str]:
         """Variable names, falling back to V1..Vd."""
         if self.variable_names is not None:
@@ -106,7 +107,7 @@ def as_data_matrix(data) -> DataMatrix:
     """Coerce an array-like or :class:`DataMatrix` into a :class:`DataMatrix`."""
     if isinstance(data, DataMatrix):
         return data
-    return DataMatrix.from_array(data)
+    return DataMatrix(data)
 
 
 @dataclass(frozen=True)

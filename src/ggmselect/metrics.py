@@ -152,8 +152,3 @@ def edges_from_names(pairs, names) -> EdgeSet:
             continue
         edges.add((min(i, j), max(i, j)))
     return EdgeSet(len(names), frozenset(edges))
-
-
-def load_reference_interactions(path, names) -> EdgeSet:
-    """Load a reference interaction CSV against a variable-name universe."""
-    return edges_from_names(load_interaction_pairs(path), names)

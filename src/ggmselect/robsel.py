@@ -9,28 +9,20 @@ ceil((B + 1) * (1 - alpha)), clamped to [1, B]. Smaller alpha therefore
 selects a larger penalty and a sparser graph.
 
 All B replicates are computed together, one tile of pairs (i, j) at a time.
+This module only selects the penalty: the fit at it is an ordinary
+``glasso`` of the same covariance, which the caller runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_ZERO_TOL,
-    SelectionResult,
-    _check_seed,
-    _check_zero_tol,
-    _cov,
-    as_data_matrix,
-    check_square_symmetric,
-    edges_from_precision,
-    parallel_map,
-)
+from .core import _check_seed, _cov, as_data_matrix, parallel_map
 from .errors import InvalidInputError
-from .solver import SolverConfig, _check_variances, glasso
+
 
 @dataclass
 class RobselConfig:
@@ -59,17 +51,6 @@ class RobselResult:
     rwp_samples: np.ndarray
     order_index: int
     alpha: float
-
-
-def rwp(A, K) -> float:
-    """Max-norm of A - K over all entries, diagonal included."""
-    A = check_square_symmetric(A, "A")
-    K = check_square_symmetric(K, "K")
-    if A.shape != K.shape:
-        raise InvalidInputError(
-            f"dimension mismatch: {A.shape[0]} vs {K.shape[0]}"
-        )
-    return float(np.abs(A - K).max())
 
 
 def order_statistic_rank(B: int, alpha: float) -> int:
@@ -169,41 +150,4 @@ def robsel_lambda(data, config: RobselConfig, center: bool = True, threads: int 
         rwp_samples=samples,
         order_index=rank - 1,
         alpha=config.alpha,
-    )
-
-
-def robsel_fit(
-    data,
-    config: RobselConfig,
-    solver_config: SolverConfig | None = None,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    center: bool = True,
-    threads: int = 1,
-) -> SelectionResult:
-    """Bootstrap-select the penalty, then fit the graphical lasso with it.
-
-    ``zero_tol`` and, with the diagonal unpenalized, the variances are
-    checked before the bootstrap.
-    """
-    data = as_data_matrix(data)
-    base = solver_config if solver_config is not None else SolverConfig(lam=0.0)
-    _check_zero_tol(zero_tol)
-    A = _cov(data.values, center=center)
-    _check_variances(A, base.penalize_diagonal)
-    selection = robsel_lambda(data, config, center=center, threads=threads)
-    result = glasso(A, replace(base, lam=selection.lam))
-    return SelectionResult(
-        method="robsel",
-        alpha=config.alpha,
-        lam=selection.lam,
-        precision=result.precision,
-        edges=edges_from_precision(result.precision, zero_tol),
-        diagnostics={
-            "order_index": selection.order_index,
-            "bootstrap": config.B,
-            "objective": result.objective,
-            "kkt_residual": result.kkt_residual,
-            "sweeps_used": result.sweeps_used,
-            "converged": result.converged,
-        },
     )

@@ -36,6 +36,7 @@ from .solver import SolverConfig, glasso
 from .testing import (
     ADJUSTMENT_METHODS,
     _check_testable,
+    _rejections,
     adjust_pvalues,
     partial_correlations,
     unadjusted_pvalues,
@@ -127,7 +128,11 @@ def _check_truth(d: int, edge_prob: float) -> None:
         raise InvalidInputError(f"edge_prob must be in (0, 1), got {edge_prob}")
 
 
-def generate_precision(d: int, edge_prob: float, seed: int, max_retries: int = 100) -> GroundTruth:
+#: Redraws of the diagonal allowed when a draw loses positive definiteness.
+_DIAGONAL_REDRAWS = 100
+
+
+def generate_precision(d: int, edge_prob: float, seed: int) -> GroundTruth:
     """Generate a sparse positive definite precision matrix.
 
     Steps: (1) Erdos-Renyi support over all pairs with probability
@@ -136,8 +141,8 @@ def generate_precision(d: int, edge_prob: float, seed: int, max_retries: int = 1
     row's off-diagonal absolute sum, the matrix symmetrized by averaging
     with its transpose, and the diagonal set to 1 (strict diagonal dominance,
     hence positive definiteness); (4) diagonal entries resampled uniformly in
-    [1, 1.5], with a Cholesky check and up to ``max_retries`` re-draws of the
-    diagonal if positive definiteness is ever lost.
+    [1, 1.5], with a Cholesky check and up to ``_DIAGONAL_REDRAWS`` re-draws
+    of the diagonal if positive definiteness is ever lost.
     """
     _check_truth(d, edge_prob)
     _check_seed(seed)
@@ -158,7 +163,7 @@ def generate_precision(d: int, edge_prob: float, seed: int, max_retries: int = 1
     omega = symmetrize(omega)
     np.fill_diagonal(omega, 1.0)
 
-    for _ in range(max_retries + 1):
+    for _ in range(_DIAGONAL_REDRAWS + 1):
         omega[np.diag_indices(d)] = rng.uniform(1.0, 1.5, size=d)
         try:
             np.linalg.cholesky(omega)
@@ -167,7 +172,7 @@ def generate_precision(d: int, edge_prob: float, seed: int, max_retries: int = 1
             continue
     else:
         raise GenerationError(
-            f"could not produce a positive definite matrix after {max_retries} "
+            f"could not produce a positive definite matrix after {_DIAGONAL_REDRAWS} "
             f"diagonal redraws (seed {seed})"
         )
 
@@ -306,12 +311,7 @@ def _select(method, data, A, plan, keys) -> list:
         _check_testable(data.n, data.d)
         pvalues = unadjusted_pvalues(partial_correlations(A), data.n)
         adjusted = adjust_pvalues(pvalues.unadjusted, method)
-        pairs = pvalues.pairs()
-
-        def rejected(alpha):
-            return EdgeSet(data.d, frozenset(pairs[k] for k in np.flatnonzero(adjusted <= alpha)))
-
-        return [(alpha, None, rejected(alpha)) for alpha in plan.alphas]
+        return [(alpha, None, _rejections(adjusted, data.d, alpha)) for alpha in plan.alphas]
     grid = lambda_grid(A, plan.grid_size)
     if method == "cv":
         tuned = cv_select(

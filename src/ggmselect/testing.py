@@ -58,10 +58,6 @@ class PValueMatrix:
                 )
             self.adjusted = adjusted
 
-    def pairs(self) -> list[tuple[int, int]]:
-        rows, cols = np.triu_indices(self.d, k=1)
-        return list(zip(rows.tolist(), cols.tolist()))
-
     def as_matrix(self, which: str = "adjusted") -> np.ndarray:
         """Symmetric d-by-d matrix of the chosen p-values with NaN diagonal."""
         flat = self.adjusted if which == "adjusted" else self.unadjusted
@@ -186,6 +182,15 @@ def adjust_pvalues(pvals, method: str = "holm") -> np.ndarray:
     return _ADJUSTERS[method](pvals)
 
 
+def _rejections(adjusted, d: int, alpha: float) -> EdgeSet:
+    """Edges whose adjusted p-value, in ``numpy.triu_indices(d, 1)`` order,
+    is <= alpha."""
+    rows, cols = np.triu_indices(d, k=1)
+    keep = adjusted <= alpha
+    pairs = frozenset(zip(rows[keep].tolist(), cols[keep].tolist()))
+    return EdgeSet(d, pairs)
+
+
 def testing_select(data, alpha: float, method: str = "holm", center: bool = True) -> SelectionResult:
     """Select a graph by testing all pairwise partial correlations.
 
@@ -202,14 +207,11 @@ def testing_select(data, alpha: float, method: str = "holm", center: bool = True
     R = partial_correlations(A)
     pmatrix = unadjusted_pvalues(R, n)
     adjusted = adjust_pvalues(pmatrix.unadjusted, method)
-    pmatrix = PValueMatrix(d, pmatrix.unadjusted, adjusted)
-    pairs = pmatrix.pairs()
-    edges = frozenset(pairs[k] for k in np.flatnonzero(adjusted <= alpha))
     return SelectionResult(
         method=method,
         alpha=alpha,
         lam=None,
         precision=None,
-        edges=EdgeSet(d, edges),
-        diagnostics={"pvalues": pmatrix},
+        edges=_rejections(adjusted, d, alpha),
+        diagnostics={"pvalues": PValueMatrix(d, pmatrix.unadjusted, adjusted)},
     )

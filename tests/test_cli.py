@@ -9,6 +9,7 @@ import pytest
 import ggmselect as gs
 from ggmselect import robsel, simulation, tuning
 from ggmselect.cli import build_parser, main
+from ggmselect.core import format_real, write_csv
 
 from helpers import subprocess_env
 
@@ -185,6 +186,41 @@ def test_simulate_then_fit_round_trip(tmp_path, capsys):
     omega = gs.load_data_csv(tmp_path / "sim.omega.csv")
     assert omega.n == 5
     assert run_cli(["fit", "-i", tmp_path / "sim.data.csv", "--lambda", "0.3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["fit", "--lambda", "0.1"], ["robsel", "--alpha", "0.2", "--bootstrap", "30", "--seed", "4"]],
+    ids=["fit", "robsel"],
+)
+def test_standardize_matches_the_library_on_standardized_data(tmp_path, sample_csv, capsys, command):
+    for flags, prefix in (([], "raw"), (["--standardize"], "std")):
+        assert run_cli([command[0], "-i", sample_csv, *flags, *command[1:], "-o", tmp_path / prefix]) == 0
+    out = capsys.readouterr().out.splitlines()
+    data = gs.load_data_csv(sample_csv).standardized()
+    lam = 0.1
+    if command[0] == "robsel":
+        lam = gs.robsel_lambda(data, gs.RobselConfig(alpha=0.2, B=30, seed=4)).lam
+    assert f"lambda = {format_real(lam)}" in out
+    fit = gs.glasso(gs.empirical_covariance(data), gs.SolverConfig(lam=lam))
+    write_csv(tmp_path / "expected.csv", data.names(), fit.precision)
+    written = (tmp_path / "std.precision.csv").read_bytes()
+    assert written == (tmp_path / "expected.csv").read_bytes()
+    assert written != (tmp_path / "raw.precision.csv").read_bytes()
+
+
+def test_standardize_rejects_a_constant_column(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("x,y,z\n1,2,5\n2,1,5\n3,4,5\n4,3,5\n", encoding="utf-8")
+    for command in (["fit", "--lambda", "0.1"], ["robsel", "--alpha", "0.1"]):
+        args = [command[0], "-i", path, "--standardize", *command[1:], "-o", tmp_path / "out"]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: InvalidInputError: cannot standardize zero-variance columns: ['z']\n"
+        )
+    assert list(tmp_path.glob("out.*")) == []
 
 
 def test_precision_csv_writes_no_negative_zero(tmp_path):

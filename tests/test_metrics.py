@@ -3,6 +3,7 @@ import pytest
 
 import ggmselect as gs
 from ggmselect import InvalidInputError, UnmatchedNodeError
+from ggmselect.metrics import edges_from_names, load_interaction_pairs
 
 from helpers import random_edge_pairs
 
@@ -128,15 +129,17 @@ def test_validated_report_table_shaped_arithmetic():
 
 def test_reference_loader_dedupes_and_normalizes(tmp_path):
     path = tmp_path / "ref.csv"
-    path.write_text("a,b\nb,a\na,b\nc,a\nc,c\n", encoding="utf-8")
-    edges = gs.load_reference_interactions(path, ["a", "b", "c"])
+    path.write_text("a,b\nb,a\n\na,b\nc,a\nc,c\n", encoding="utf-8")
+    pairs = load_interaction_pairs(path)
+    assert len(pairs) == 5  # the blank row is skipped
+    edges = edges_from_names(pairs, ["a", "b", "c"])
     assert set(edges.edges) == {(0, 1), (0, 2)}
 
 
 def test_reference_loader_drops_byte_order_mark(tmp_path):
     path = tmp_path / "ref.csv"
     path.write_text("\ufeffa,b\nc,a\n", encoding="utf-8")
-    edges = gs.load_reference_interactions(path, ["a", "b", "c"])
+    edges = edges_from_names(load_interaction_pairs(path), ["a", "b", "c"])
     assert set(edges.edges) == {(0, 1), (0, 2)}
 
 
@@ -144,11 +147,11 @@ def test_reference_loader_unmatched_names(tmp_path):
     path = tmp_path / "ref.csv"
     path.write_text("a,zz\nqq,b\n", encoding="utf-8")
     with pytest.raises(UnmatchedNodeError, match="qq, zz"):
-        gs.load_reference_interactions(path, ["a", "b", "c"])
+        edges_from_names(load_interaction_pairs(path), ["a", "b", "c"])
 
 
 def test_reference_loader_rejects_wrong_width(tmp_path):
     path = tmp_path / "ref.csv"
     path.write_text("a,b,c\n", encoding="utf-8")
     with pytest.raises(InvalidInputError, match="expected 2"):
-        gs.load_reference_interactions(path, ["a", "b", "c"])
+        edges_from_names(load_interaction_pairs(path), ["a", "b", "c"])

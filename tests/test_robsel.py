@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,29 +12,6 @@ from ggmselect import core, robsel
 from ggmselect.core import _cov
 
 from helpers import bootstrap_rwp_reference, random_covariance
-
-
-def test_rwp_identical_matrices():
-    rng = np.random.default_rng(30)
-    A = random_covariance(rng, 4)
-    assert gs.rwp(A, A) == 0.0
-
-
-def test_rwp_identity_vs_zero():
-    assert gs.rwp(np.eye(3), np.zeros((3, 3))) == 1.0
-
-
-def test_rwp_matches_exhaustive_scan():
-    rng = np.random.default_rng(31)
-    A = random_covariance(rng, 5)
-    K = random_covariance(rng, 5)
-    expected = max(abs(A[i, j] - K[i, j]) for i in range(5) for j in range(5))
-    assert gs.rwp(A, K) == expected
-
-
-def test_rwp_dimension_mismatch():
-    with pytest.raises(InvalidInputError, match="mismatch"):
-        gs.rwp(np.eye(3), np.eye(4))
 
 
 def test_order_statistic_rank_formula():
@@ -245,37 +223,39 @@ def test_bootstrap_working_set_stays_small():
         assert peak <= 5e6 + (B - 200) * per_replicate
 
 
+def _robsel_then_fit(data, config):
+    """The robsel fit as the CLI runs it: select the penalty, then glasso."""
+    selection = gs.robsel_lambda(data, config)
+    fit = gs.glasso(gs.empirical_covariance(data), gs.SolverConfig(lam=selection.lam))
+    return selection.lam, fit
+
+
+def test_readme_library_quickstart_runs_as_written(capsys):
+    # The block under "Library quickstart" in the README, verbatim.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["robsel"].converged and namespace["fit"].converged
+    edges = len(gs.edges_from_precision(namespace["robsel"].precision))
+    assert capsys.readouterr().out.splitlines()[0] == f"{namespace['chosen'].lam} {edges}"
+
+
 def test_robsel_fit_monotone_alpha_composition():
     truth = gs.generate_precision(10, 0.1, seed=40)
     data = gs.sample_gaussian(truth, 200, seed=41)
-    small = gs.robsel_fit(data, gs.RobselConfig(alpha=0.01, B=100, seed=8))
-    large = gs.robsel_fit(data, gs.RobselConfig(alpha=0.9, B=100, seed=8))
-    assert small.lam >= large.lam
-    assert small.method == "robsel"
+    small_lam, small = _robsel_then_fit(data, gs.RobselConfig(alpha=0.01, B=100, seed=8))
+    large_lam, _ = _robsel_then_fit(data, gs.RobselConfig(alpha=0.9, B=100, seed=8))
+    assert small_lam >= large_lam
     assert small.precision is not None
-    assert small.diagnostics["converged"]
+    assert small.converged
 
 
 def test_robsel_fit_degenerate_data_propagates_singularity():
     data = np.tile([0.0, 1.0], (10, 1))
     with pytest.raises(SingularInputError):
-        gs.robsel_fit(data, gs.RobselConfig(alpha=0.5, B=20, seed=1))
-
-
-def test_robsel_fit_rejects_a_failing_fit_before_the_bootstrap(monkeypatch):
-    data = gs.sample_gaussian(gs.generate_precision(5, 0.3, seed=7), 60, seed=8).values
-    data[:, 2] = 2.0  # a zero variance, which only the unpenalized diagonal rejects
-    config = gs.RobselConfig(alpha=0.1, B=20, seed=1)
-    boots = []
-    monkeypatch.setattr(robsel, "bootstrap_rwp_samples", lambda *args, **kwargs: boots.append(args))
-    with pytest.raises(InvalidInputError, match="zero_tol"):
-        gs.robsel_fit(data, config, zero_tol=-1.0)
-    unpenalized = gs.SolverConfig(lam=0.0, penalize_diagonal=False)
-    with pytest.raises(SingularInputError, match="strictly positive variances"):
-        gs.robsel_fit(data, config, solver_config=unpenalized)
-    assert boots == []
-    monkeypatch.undo()
-    assert gs.robsel_fit(data, config).diagnostics["converged"]
+        _robsel_then_fit(data, gs.RobselConfig(alpha=0.5, B=20, seed=1))
 
 
 def test_config_validation():
@@ -297,7 +277,7 @@ def test_false_positive_control_monte_carlo():
     for replicate in range(100):
         data = gs.sample_gaussian(truth, 1600, seed=1000 + replicate)
         config = gs.RobselConfig(alpha=0.1, B=100, seed=2000 + replicate)
-        fit = gs.robsel_fit(data, config)
-        if not (fit.edges.edges - truth.edges.edges):
+        _, fit = _robsel_then_fit(data, config)
+        if not (gs.edges_from_precision(fit.precision).edges - truth.edges.edges):
             clean += 1
     assert clean >= 90

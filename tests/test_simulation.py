@@ -325,6 +325,28 @@ def test_replicates_csv_round_trip(tmp_path):
     assert len(summary_lines) == 1 + len(report.summaries())
 
 
+def test_one_replicate_summary_has_empty_standard_errors(tmp_path):
+    plan = gs.ExperimentPlan(
+        d=6,
+        edge_prob=0.15,
+        sample_sizes=[40],
+        replications=1,
+        alphas=[0.3],
+        B=10,
+        seed=21,
+        methods=["robsel", "holm"],
+    )
+    path = tmp_path / "summary.csv"
+    gs.write_summary_csv(gs.run_experiment(plan), path)
+    header, *rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [row[0] for row in rows] == ["holm", "robsel"]
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert cells["replicates"] == "1"
+        assert cells["fwer"] in ("0", "1")
+        assert [cells[name] for name in header if name.endswith("_se")] == [""] * 8
+
+
 def test_plan_config_parsing(tmp_path):
     config = tmp_path / "plan.cfg"
     config.write_text(

@@ -235,6 +235,19 @@ def test_objective_requires_positive_definite_precision():
         gs.kkt_residual(K, np.eye(2), config)
 
 
+def test_certificate_rejects_an_indefinite_iterate_whose_residual_passes():
+    # K is symmetric and invertible but indefinite, and A = K^-1 makes its
+    # residual 0 at lambda = 0: only the Cholesky gate can reject it, and the
+    # (None, None, inf) it then returns keeps the sweeps going.
+    K = np.array([[1.0, 2.0], [2.0, 1.0]])
+    A = np.linalg.inv(K)
+    config = gs.SolverConfig(lam=0.0)
+    assert solver._subgradient_residual(K, np.linalg.inv(K), A, 0.0, True) <= config.kkt_tol
+    inverse, factor, resid = solver._certificate(K, A, config)
+    assert inverse is None and factor is None
+    assert resid == float("inf")
+
+
 def test_max_sweeps_exhaustion_reports_not_converged():
     rng = np.random.default_rng(25)
     A = random_covariance(rng, 12)

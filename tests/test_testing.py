@@ -6,6 +6,7 @@ from scipy.special import ndtr
 
 import ggmselect as gs
 from ggmselect import DegenerateCorrelationWarning, InvalidInputError, NotApplicableError
+from ggmselect import testing
 
 from helpers import random_correlated_data, random_covariance
 
@@ -247,6 +248,21 @@ def test_testing_select_reports_no_precision_matrix():
     assert result.precision is None
     assert result.lam is None
     assert result.method == "holm"
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
+def test_testing_select_rejects_alpha_outside_the_unit_interval(alpha):
+    data = np.random.default_rng(75).standard_normal((40, 4))
+    with pytest.raises(InvalidInputError, match=r"alpha must be in \(0, 1\)"):
+        gs.testing_select(data, alpha=alpha)
+
+
+def test_rejections_keep_the_pairs_at_or_below_alpha():
+    # triu_indices(4, 1) order: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
+    adjusted = np.array([0.05, 0.2, 0.049, 1.0, 0.051, 0.0])
+    edges = testing._rejections(adjusted, 4, 0.05)
+    assert edges == gs.EdgeSet(4, frozenset({(0, 1), (0, 3), (2, 3)}))
+    assert testing._rejections(adjusted, 4, 1e-3) == gs.EdgeSet(4, frozenset({(2, 3)}))
 
 
 def test_pvalue_matrix_validation():
