@@ -13,11 +13,14 @@ import csv
 import os
 import sys
 import warnings
+from dataclasses import asdict
 
 from .core import (
     DEFAULT_ZERO_TOL,
     DataMatrix,
+    _cells,
     _check_zero_tol,
+    _warn,
     atomic_text_writer,  # kept bound: bench/tracing.py wraps cli.atomic_text_writer
     empirical_covariance,
     edges_from_precision,
@@ -46,6 +49,7 @@ from .tuning import (
     DEFAULT_FOLDS,
     DEFAULT_GAMMA,
     DEFAULT_GRID_SIZE,
+    TUNING_METHODS,
     cv_select,
     ebic_select,
     lambda_grid,
@@ -73,6 +77,25 @@ def _default_threads(parser) -> int:
 _EDGE_COLUMNS = ("node_i", "node_j", "precision_value")
 
 
+def _write_edges(prefix, names, edges, precision=None) -> None:
+    """Write ``<prefix>.edges.csv``, one row per edge; the value column is
+    empty without a ``precision`` matrix, as for testing, which has none."""
+    write_csv(
+        f"{prefix}.edges.csv",
+        _EDGE_COLUMNS,
+        ((names[i], names[j], None if precision is None else precision[i, j]) for i, j in edges),
+    )
+
+
+def _report(fields: dict, path=None) -> None:
+    """Print one ``name = value`` line per field and, given ``path``, write
+    the same fields as a one-row CSV; values are formatted as CSV cells."""
+    for name, text in zip(fields, _cells(fields.values())):
+        print(f"{name} = {text}")
+    if path is not None:
+        write_csv(path, fields, [fields.values()])
+
+
 def _load_input(args) -> DataMatrix:
     data = load_data_csv(args.input)
     if getattr(args, "standardize", False):
@@ -98,11 +121,7 @@ def _fit_and_write(args, data, A, lam, *preamble) -> None:
     print(f"edges = {len(edges)}")
     names = data.names()
     write_csv(f"{args.output_prefix}.precision.csv", names, result.precision)
-    write_csv(
-        f"{args.output_prefix}.edges.csv",
-        _EDGE_COLUMNS,
-        ((names[i], names[j], result.precision[i, j]) for i, j in edges),
-    )
+    _write_edges(args.output_prefix, names, edges, result.precision)
 
 
 def _cmd_fit(args) -> int:
@@ -147,14 +166,8 @@ def _cmd_test(args) -> int:
     print(f"method = {args.method}")
     print(f"edges = {len(result.edges)}")
     names = data.names()
-    pmatrix = result.diagnostics["pvalues"]
-    write_csv(f"{args.output_prefix}.pvalues.csv", names, pmatrix.as_matrix("adjusted"))
-    # Testing estimates no matrix, so the value column is empty.
-    write_csv(
-        f"{args.output_prefix}.edges.csv",
-        _EDGE_COLUMNS,
-        ((names[i], names[j], None) for i, j in result.edges),
-    )
+    write_csv(f"{args.output_prefix}.pvalues.csv", names, result.diagnostics["pvalues"].as_matrix())
+    _write_edges(args.output_prefix, names, result.edges)
     return 0
 
 
@@ -182,13 +195,10 @@ def _cmd_tune(args) -> int:
             zero_tol=args.zero_tol,
             center=not args.no_center,
         )
-    print(f"method = {args.method}")
-    print(f"chosen_lambda = {format_real(tuned.chosen_lambda)}")
     write_csv(f"{args.output_prefix}.scores.csv", ("lambda", "score"), tuned.scores)
-    write_csv(
+    _report(
+        {"method": args.method, "chosen_lambda": tuned.chosen_lambda},
         f"{args.output_prefix}.lambda.csv",
-        ("method", "chosen_lambda"),
-        [(args.method, tuned.chosen_lambda)],
     )
     return 0
 
@@ -205,7 +215,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     plan = load_experiment_config(args.config)
-    # One write per line, so that lines from pool threads never interleave.
     log = (lambda line: sys.stderr.write(line + "\n")) if args.verbose else None
     # threads= stays a keyword: bench/tracing.py reads it by name.
     report = run_experiment(plan, threads=args.threads, record_timings=args.timings, log=log)
@@ -216,9 +225,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    estimated_pairs = [
-        (a, b) for a, b, *_ in _read_edge_list(args.edges)
-    ]
+    estimated_pairs = _read_edge_list(args.edges)
     reference_pairs = load_interaction_pairs(args.reference)
     if args.data:
         universe = load_data_csv(args.data).names()
@@ -231,32 +238,23 @@ def _cmd_evaluate(args) -> int:
             raise InvalidInputError("fewer than two distinct node names found")
     estimated = edges_from_names(estimated_pairs, universe)
     reference = edges_from_names(reference_pairs, universe)
-    report = validated_edge_report(estimated, reference)
-    print(f"estimated_edges = {report.estimated_edges}")
-    print(f"validated_edges = {report.validated_edges}")
-    print(f"proportion = {format_real(report.proportion)}")
-    if args.output_prefix:
-        write_csv(
-            f"{args.output_prefix}.validation.csv",
-            ("estimated_edges", "validated_edges", "proportion"),
-            [(report.estimated_edges, report.validated_edges, report.proportion)],
-        )
+    path = f"{args.output_prefix}.validation.csv" if args.output_prefix else None
+    _report(asdict(validated_edge_report(estimated, reference)), path)
     return 0
 
 
-def _read_edge_list(path):
-    """Rows of an edge-list CSV written by this tool (header skipped)."""
-    rows = []
+def _read_edge_list(path) -> list[tuple[str, str]]:
+    """The (node_i, node_j) pairs of an edge-list CSV. Empty rows are skipped,
+    and so is the first non-empty row when it is the ``node_i,...`` header,
+    the rule of the data loader."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        for r, row in enumerate(csv.reader(handle), start=1):
-            if not row:
-                continue
-            if r == 1 and row[0] == _EDGE_COLUMNS[0]:
-                continue
-            if len(row) < 2:
-                raise InvalidInputError(f"{path}: row {r} has fewer than 2 fields")
-            rows.append(tuple(tok.strip() for tok in row))
-    return rows
+        rows = [(r, row) for r, row in enumerate(csv.reader(handle), start=1) if row]
+    if rows and rows[0][1][0] == _EDGE_COLUMNS[0]:
+        rows.pop(0)
+    for r, row in rows:
+        if len(row) < 2:
+            raise InvalidInputError(f"{path}: row {r} has fewer than 2 fields")
+    return [(row[0].strip(), row[1].strip()) for _, row in rows]
 
 
 def _add_common_io(parser):
@@ -347,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="cross-validated or EBIC penalty selection")
     _add_common_io(p)
-    p.add_argument("--method", choices=("cv", "ebic"), required=True)
+    p.add_argument("--method", choices=TUNING_METHODS, required=True)
     p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
@@ -390,9 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
-    # The sweep's one-line form, in one write so that pool threads never
-    # interleave, and without the source path and line of the default format.
-    sys.stderr.write(f"warning: {message}\n")
+    # One line, without the source path and line of the default format.
+    _warn(str(message))
 
 
 def main(argv=None) -> int:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -129,15 +129,12 @@ class EdgeSet:
         object.__setattr__(self, "edges", edges)
 
     @classmethod
-    def from_pairs(cls, d: int, pairs: Iterable[tuple[int, int]]) -> "EdgeSet":
-        """Build an edge set, normalizing pair order and rejecting self-loops."""
-        normalized = set()
-        for i, j in pairs:
-            i, j = int(i), int(j)
-            if i == j:
-                raise InvalidInputError(f"self-loop ({i}, {j}) is not allowed")
-            normalized.add((min(i, j), max(i, j)))
-        return cls(d, frozenset(normalized))
+    def from_upper(cls, d: int, keep) -> "EdgeSet":
+        """The pairs (i, j), i < j, at which the boolean vector ``keep`` is
+        True; ``keep`` runs over the strict upper triangle in
+        ``numpy.triu_indices(d, 1)`` order."""
+        rows, cols = np.triu_indices(d, k=1)
+        return cls(d, frozenset(zip(rows[keep].tolist(), cols[keep].tolist())))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -189,15 +186,21 @@ def edges_from_precision(precision, zero_tol: float = DEFAULT_ZERO_TOL) -> EdgeS
     _check_zero_tol(zero_tol)
     precision = check_square_symmetric(precision, "precision matrix")
     d = precision.shape[0]
-    rows, cols = np.triu_indices(d, k=1)
-    keep = np.abs(precision[rows, cols]) > zero_tol
-    pairs = frozenset(zip(rows[keep].tolist(), cols[keep].tolist()))
-    return EdgeSet(d, pairs)
+    # A boolean mask reads in row-major order, the order of triu_indices.
+    upper = precision[~np.tri(d, dtype=bool)]
+    return EdgeSet.from_upper(d, np.abs(upper) > zero_tol)
 
 
 def _check_zero_tol(zero_tol: float) -> None:
-    if zero_tol < 0:
-        raise InvalidInputError(f"zero_tol must be nonnegative, got {zero_tol}")
+    """The rule for every edge threshold: a finite number >= 0."""
+    if not (math.isfinite(zero_tol) and zero_tol >= 0):
+        raise InvalidInputError(f"zero_tol must be finite and nonnegative, got {zero_tol}")
+
+
+def _check_alpha(alpha: float) -> None:
+    """The rule for every alpha, a level or confidence parameter in (0, 1)."""
+    if not (0.0 < alpha < 1.0):
+        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def _check_seed(seed: int) -> None:
@@ -352,16 +355,24 @@ def atomic_text_writer(path):
         raise
 
 
+def _cells(row) -> list[str]:
+    """The CSV cells of ``row``: strings and integers as they are, and every
+    other value through ``format_real``."""
+    return [str(v) if isinstance(v, (str, int)) else format_real(v) for v in row]
+
+
 def write_csv(path, header, rows) -> None:
-    """Write a CSV file atomically, one line per row: strings and integers
-    print as they are, and every other value goes through ``format_real``."""
+    """Write a CSV file atomically, one line per row of ``_cells``."""
     with atomic_text_writer(path) as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(
-                ",".join(str(v) if isinstance(v, (str, int)) else format_real(v) for v in row)
-                + "\n"
-            )
+            handle.write(",".join(_cells(row)) + "\n")
+
+
+def _warn(text: str) -> None:
+    """Write ``warning: <text>`` to stderr as one line in one write, so that
+    lines from pool threads never interleave."""
+    sys.stderr.write(f"warning: {text}\n")
 
 
 def parallel_map(fn, items, threads: int) -> list:

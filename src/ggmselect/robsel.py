@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_seed, _cov, as_data_matrix, parallel_map
+from .core import _check_alpha, _check_seed, _cov, as_data_matrix, parallel_map
 from .errors import InvalidInputError
 
 
@@ -36,8 +36,7 @@ class RobselConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.B < 1:
             raise InvalidInputError(f"bootstrap count must be >= 1, got {self.B}")
         _check_seed(self.seed)

@@ -3,15 +3,15 @@ family-wise error rate experiment.
 
 Ground-truth precision matrices follow the sparse construction used for the
 simulation study: an Erdos-Renyi support with uniform edge magnitudes in
-[0.5, 1] and random signs, rescaled row-wise to enforce diagonal dominance
-(hence positive definiteness), unit diagonal, and finally diagonal entries
-resampled uniformly in [1, 1.5].
+[0.5, 1] and random signs, each row scaled and the result averaged with its
+transpose, then diagonal entries drawn uniformly in [1, 1.5]. The scaling
+does not make the matrix diagonally dominant; a Cholesky check on each
+diagonal draw, with redraws, makes it positive definite.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -24,6 +24,7 @@ from .core import (
     _check_seed,
     _check_zero_tol,
     _cov,
+    _warn,
     edges_from_precision,
     parallel_map,
     symmetrize,
@@ -45,15 +46,14 @@ from .tuning import (
     DEFAULT_FOLDS,
     DEFAULT_GAMMA,
     DEFAULT_GRID_SIZE,
+    TUNING_METHODS,
     _check_tuning,
     cv_select,
     ebic_select,
     lambda_grid,
 )
 
-# Methods that choose their own penalty, so have no alpha.
-_TUNED_METHODS = ("cv", "ebic")
-KNOWN_METHODS = ("robsel", *ADJUSTMENT_METHODS, *_TUNED_METHODS)
+KNOWN_METHODS = ("robsel", *ADJUSTMENT_METHODS, *TUNING_METHODS)
 
 
 @dataclass
@@ -112,13 +112,9 @@ class ExperimentPlan:
         _check_truth(self.d, self.edge_prob)
         for alpha in self.alphas:
             RobselConfig(alpha, self.B, self.seed)
-        self.solver(0.0)
+        SolverConfig.from_settings(self, 0.0)
         _check_tuning(self.folds, self.gamma, self.grid_size)
         _check_zero_tol(self.zero_tol)
-
-    def solver(self, lam: float) -> SolverConfig:
-        """The configuration of a glasso fit at ``lam`` in this sweep."""
-        return SolverConfig.from_settings(self, lam)
 
 
 def _check_truth(d: int, edge_prob: float) -> None:
@@ -138,11 +134,13 @@ def generate_precision(d: int, edge_prob: float, seed: int) -> GroundTruth:
     Steps: (1) Erdos-Renyi support over all pairs with probability
     ``edge_prob``; (2) edge magnitudes uniform in [0.5, 1] with equiprobable
     signs; (3) each row's off-diagonal entries divided by 1.5 times the
-    row's off-diagonal absolute sum, the matrix symmetrized by averaging
-    with its transpose, and the diagonal set to 1 (strict diagonal dominance,
-    hence positive definiteness); (4) diagonal entries resampled uniformly in
-    [1, 1.5], with a Cholesky check and up to ``_DIAGONAL_REDRAWS`` re-draws
-    of the diagonal if positive definiteness is ever lost.
+    row's off-diagonal absolute sum, and the matrix symmetrized by averaging
+    with its transpose; (4) diagonal entries drawn uniformly in [1, 1.5].
+    Step (3) does not give diagonal dominance: after the averaging a row's
+    off-diagonal absolute sum can reach (1 + degree) / 3. Positive
+    definiteness comes from a Cholesky check of each diagonal draw, with up
+    to ``_DIAGONAL_REDRAWS`` redraws of the diagonal. The edge set is the
+    support drawn in step (1).
     """
     _check_truth(d, edge_prob)
     _check_seed(seed)
@@ -161,7 +159,6 @@ def generate_precision(d: int, edge_prob: float, seed: int) -> GroundTruth:
     scale = np.where(row_sums > 0, 1.5 * row_sums, 1.0)
     omega = omega / scale[:, None]
     omega = symmetrize(omega)
-    np.fill_diagonal(omega, 1.0)
 
     for _ in range(_DIAGONAL_REDRAWS + 1):
         omega[np.diag_indices(d)] = rng.uniform(1.0, 1.5, size=d)
@@ -176,11 +173,8 @@ def generate_precision(d: int, edge_prob: float, seed: int) -> GroundTruth:
             f"diagonal redraws (seed {seed})"
         )
 
-    edges = EdgeSet(
-        d, frozenset(zip(rows[present].tolist(), cols[present].tolist()))
-    )
     sigma = symmetrize(np.linalg.inv(omega))
-    return GroundTruth(omega=omega, edges=edges, sigma=sigma)
+    return GroundTruth(omega=omega, edges=EdgeSet.from_upper(d, present), sigma=sigma)
 
 
 def sample_gaussian(truth: GroundTruth, n: int, seed: int) -> DataMatrix:
@@ -292,7 +286,7 @@ def _cells(plan) -> list:
     return [
         (method, alpha)
         for method in plan.methods
-        for alpha in ([None] if method in _TUNED_METHODS else plan.alphas)
+        for alpha in ([None] if method in TUNING_METHODS else plan.alphas)
     ]
 
 
@@ -310,20 +304,17 @@ def _select(method, data, A, plan, keys) -> list:
         # Checked before the inversion, which is singular at n <= d.
         _check_testable(data.n, data.d)
         pvalues = unadjusted_pvalues(partial_correlations(A), data.n)
-        adjusted = adjust_pvalues(pvalues.unadjusted, method)
+        adjusted = adjust_pvalues(pvalues, method)
         return [(alpha, None, _rejections(adjusted, data.d, alpha)) for alpha in plan.alphas]
     grid = lambda_grid(A, plan.grid_size)
+    base = SolverConfig.from_settings(plan, 0.0)
     if method == "cv":
         tuned = cv_select(
-            data,
-            folds=plan.folds,
-            grid=grid,
-            solver_config=plan.solver(0.0),
-            seed=_child_seed(*keys, 3),
+            data, folds=plan.folds, grid=grid, solver_config=base, seed=_child_seed(*keys, 3)
         )
     else:
         tuned = ebic_select(
-            data, grid, gamma=plan.gamma, solver_config=plan.solver(0.0), zero_tol=plan.zero_tol
+            data, grid, gamma=plan.gamma, solver_config=base, zero_tol=plan.zero_tol
         )
     return [(None, tuned.chosen_lambda, None)]
 
@@ -334,11 +325,10 @@ def _run_replicate(plan, truth, n, replicate, record_timings) -> list:
     data = sample_gaussian(truth, n, _child_seed(*keys, 1))
     A = _cov(data.values)
 
-    # One write per line, so that lines from pool threads never interleave.
     def fail(method, alpha, exc):
-        sys.stderr.write(
-            f"warning: {method} failed at (n={n}, r={replicate}"
-            f"{'' if alpha is None else f', alpha={alpha}'}): {exc}\n"
+        _warn(
+            f"{method} failed at (n={n}, r={replicate}"
+            f"{'' if alpha is None else f', alpha={alpha}'}): {exc}"
         )
 
     # (method, alpha) -> (edges, lambda or None, runtime)
@@ -357,7 +347,7 @@ def _run_replicate(plan, truth, n, replicate, record_timings) -> list:
             start = time.perf_counter()
             if edges is None:
                 try:
-                    fit = glasso(A, plan.solver(lam))
+                    fit = glasso(A, SolverConfig.from_settings(plan, lam))
                     edges = edges_from_precision(fit.precision, plan.zero_tol)
                 except Exception as exc:
                     fail(method, alpha, exc)
@@ -412,7 +402,7 @@ def run_experiment(
         try:
             records = _run_replicate(plan, truth, n, replicate, record_timings)
         except Exception as exc:  # record the failed cell, keep sweeping
-            sys.stderr.write(f"warning: replicate (n={n}, r={replicate}) failed: {exc}\n")
+            _warn(f"replicate (n={n}, r={replicate}) failed: {exc}")
             records = [
                 ReplicateRecord(method, n, alpha, replicate)
                 for method, alpha in _cells(plan)

@@ -153,7 +153,7 @@ class SolverConfig:
 
     lam : penalty level, >= 0.
     penalize_diagonal : include diagonal entries in the l1 penalty.
-    kkt_tol : max-norm subgradient violation accepted as converged.
+    kkt_tol : finite max-norm subgradient violation (> 0) accepted as converged.
     max_sweeps : cap on full column sweeps.
     """
 
@@ -165,8 +165,8 @@ class SolverConfig:
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0:
             raise InvalidInputError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.kkt_tol <= 0:
-            raise InvalidInputError(f"kkt_tol must be positive, got {self.kkt_tol}")
+        if not (math.isfinite(self.kkt_tol) and self.kkt_tol > 0):
+            raise InvalidInputError(f"kkt_tol must be finite and positive, got {self.kkt_tol}")
         if self.max_sweeps < 1:
             raise InvalidInputError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
 
@@ -286,7 +286,8 @@ def _subgradient_residual(precision, inverse, A, lam, penalize_diagonal) -> floa
 def _certificate(precision, A, config: SolverConfig):
     """(inverse, Cholesky factor, KKT residual) of a precision iterate. The
     factor, the PD gate, is taken only if the residual is within ``kkt_tol``,
-    else None; an iterate either factorization rejects gives (None, None, inf)."""
+    else None; an iterate either factorization rejects gives (None, None, inf).
+    This is the one accept test: a certified iterate has a factor."""
     try:
         inverse = symmetrize(np.linalg.inv(precision))
         resid = _subgradient_residual(precision, inverse, A, config.lam, config.penalize_diagonal)
@@ -348,7 +349,8 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
     -------
     SolverResult
         ``converged`` is True when the certified KKT residual (recomputed
-        from the exact inverse of the returned K) is within ``kkt_tol``;
+        from the exact inverse of the returned K) is within ``kkt_tol``,
+        the accept test of ``_certificate`` that also ends the sweeps;
         every solve, lambda = 0 included, warns when it is not. When
         ``max_sweeps`` is exhausted the last iterate is returned with
         ``converged=False``.
@@ -400,10 +402,9 @@ def glasso(A, config: SolverConfig, init=None) -> SolverResult:
             sweeps = max(sweeps, block_sweeps)
 
     inverse, factor, resid = _certificate(precision, A, config)
-    if factor is None:
-        factor = _cholesky(precision, "solver produced a non-PD precision matrix")
-    converged = resid <= config.kkt_tol
+    converged = factor is not None
     if not converged:
+        factor = _cholesky(precision, "solver produced a non-PD precision matrix")
         warnings.warn(
             f"glasso did not converge in {sweeps} sweeps "
             f"(kkt residual {resid:.3e})",

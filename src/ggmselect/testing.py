@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EdgeSet, SelectionResult, _cov, as_data_matrix, check_square_symmetric, symmetrize
+from .core import EdgeSet, SelectionResult, _check_alpha, _cov, as_data_matrix, check_square_symmetric, symmetrize
 from .errors import (
     DegenerateCorrelationWarning,
     InvalidInputError,
@@ -30,43 +30,31 @@ from .solver import _pd_inverse
 
 @dataclass
 class PValueMatrix:
-    """Upper-triangular p-values for the d(d-1)/2 edge null hypotheses.
-
-    ``unadjusted`` and ``adjusted`` are flat arrays in row-major upper
-    triangle order, i.e. the order of ``numpy.triu_indices(d, 1)``.
-    """
+    """Unadjusted and adjusted p-values of the d(d-1)/2 edge null hypotheses,
+    flat arrays in ``numpy.triu_indices(d, 1)`` order, with
+    0 <= unadjusted <= adjusted <= 1."""
 
     d: int
     unadjusted: np.ndarray
-    adjusted: np.ndarray | None = None
+    adjusted: np.ndarray
 
     def __post_init__(self):
         m = self.d * (self.d - 1) // 2
         unadjusted = np.asarray(self.unadjusted, dtype=float)
-        if unadjusted.shape != (m,):
+        adjusted = np.asarray(self.adjusted, dtype=float)
+        if unadjusted.shape != (m,) or adjusted.shape != (m,):
             raise InvalidInputError(f"expected {m} p-values for d={self.d}")
-        if np.any(unadjusted < 0) or np.any(unadjusted > 1):
-            raise InvalidInputError("p-values must lie in [0, 1]")
+        if np.any(unadjusted < 0) or np.any(adjusted < unadjusted) or np.any(adjusted > 1):
+            raise InvalidInputError("p-values must satisfy 0 <= unadjusted <= adjusted <= 1")
         self.unadjusted = unadjusted
-        if self.adjusted is not None:
-            adjusted = np.asarray(self.adjusted, dtype=float)
-            if adjusted.shape != (m,):
-                raise InvalidInputError(f"expected {m} adjusted p-values for d={self.d}")
-            if np.any(adjusted < unadjusted) or np.any(adjusted > 1):
-                raise InvalidInputError(
-                    "adjusted p-values must lie in [0, 1] and dominate the unadjusted ones"
-                )
-            self.adjusted = adjusted
+        self.adjusted = adjusted
 
-    def as_matrix(self, which: str = "adjusted") -> np.ndarray:
-        """Symmetric d-by-d matrix of the chosen p-values with NaN diagonal."""
-        flat = self.adjusted if which == "adjusted" else self.unadjusted
-        if flat is None:
-            raise InvalidInputError("adjusted p-values have not been computed")
+    def as_matrix(self) -> np.ndarray:
+        """Symmetric d-by-d matrix of the adjusted p-values with NaN diagonal."""
         out = np.full((self.d, self.d), np.nan)
         rows, cols = np.triu_indices(self.d, k=1)
-        out[rows, cols] = flat
-        out[cols, rows] = flat
+        out[rows, cols] = self.adjusted
+        out[cols, rows] = self.adjusted
         return out
 
 
@@ -92,9 +80,10 @@ def _check_testable(n: int, d: int) -> None:
         )
 
 
-def unadjusted_pvalues(R, n: int) -> PValueMatrix:
+def unadjusted_pvalues(R, n: int) -> np.ndarray:
     """Two-sided p-values for each off-diagonal entry of the d-by-d partial
-    correlation matrix ``R`` of ``n`` samples.
+    correlation matrix ``R`` of ``n`` samples, as a flat array in
+    ``numpy.triu_indices(d, 1)`` order.
 
     Raises NotApplicableError unless n > d + 1, the regime where the
     z-transform scale sqrt(n - d - 1) is defined. A partial correlation of
@@ -120,7 +109,7 @@ def unadjusted_pvalues(R, n: int) -> PValueMatrix:
     x = np.sqrt(n - d - 1) * np.abs(z) / math.sqrt(2.0)
     pvals = np.array([math.erfc(v) for v in x.tolist()])
     pvals[degenerate] = 0.0
-    return PValueMatrix(d, np.minimum(pvals, 1.0))
+    return np.minimum(pvals, 1.0)
 
 
 def _check_unit_interval(pvals) -> np.ndarray:
@@ -185,10 +174,7 @@ def adjust_pvalues(pvals, method: str = "holm") -> np.ndarray:
 def _rejections(adjusted, d: int, alpha: float) -> EdgeSet:
     """Edges whose adjusted p-value, in ``numpy.triu_indices(d, 1)`` order,
     is <= alpha."""
-    rows, cols = np.triu_indices(d, k=1)
-    keep = adjusted <= alpha
-    pairs = frozenset(zip(rows[keep].tolist(), cols[keep].tolist()))
-    return EdgeSet(d, pairs)
+    return EdgeSet.from_upper(d, adjusted <= alpha)
 
 
 def testing_select(data, alpha: float, method: str = "holm", center: bool = True) -> SelectionResult:
@@ -196,22 +182,21 @@ def testing_select(data, alpha: float, method: str = "holm", center: bool = True
 
     An edge (i, j) is reported when its adjusted p-value is <= alpha. The
     result carries no precision estimate; testing only identifies the
-    zero/non-zero pattern.
+    zero/non-zero pattern. ``diagnostics["pvalues"]`` holds both p-value
+    arrays as a ``PValueMatrix``.
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     data = as_data_matrix(data)
     n, d = data.n, data.d
     _check_testable(n, d)
     A = _cov(data.values, center=center)
-    R = partial_correlations(A)
-    pmatrix = unadjusted_pvalues(R, n)
-    adjusted = adjust_pvalues(pmatrix.unadjusted, method)
+    pvalues = unadjusted_pvalues(partial_correlations(A), n)
+    adjusted = adjust_pvalues(pvalues, method)
     return SelectionResult(
         method=method,
         alpha=alpha,
         lam=None,
         precision=None,
         edges=_rejections(adjusted, d, alpha),
-        diagnostics={"pvalues": PValueMatrix(d, pmatrix.unadjusted, adjusted)},
+        diagnostics={"pvalues": PValueMatrix(d, pvalues, adjusted)},
     )

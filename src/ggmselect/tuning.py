@@ -35,6 +35,9 @@ from .core import (
 from .errors import InvalidInputError
 from .solver import SolverConfig, _check_pair, _chol_logdet, glasso
 
+#: The methods that tune their own penalty, for the CLI and the sweep.
+TUNING_METHODS = ("cv", "ebic")
+
 #: Defaults of the tuning settings, for the library, the CLI and the sweep.
 DEFAULT_FOLDS = 5
 DEFAULT_GAMMA = 0.5
@@ -45,8 +48,8 @@ def _check_tuning(folds=DEFAULT_FOLDS, gamma=DEFAULT_GAMMA, grid_size=DEFAULT_GR
     """The rules of the tuning settings, each applied where the setting is used."""
     if folds < 2:
         raise InvalidInputError(f"folds must be >= 2, got {folds}")
-    if gamma < 0:
-        raise InvalidInputError(f"gamma must be >= 0, got {gamma}")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise InvalidInputError(f"gamma must be finite and >= 0, got {gamma}")
     if grid_size < 2:
         raise InvalidInputError(f"grid_size must be >= 2, got {grid_size}")
 

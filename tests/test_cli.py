@@ -86,6 +86,27 @@ def test_fit_singular_active_block_is_runtime_failure(
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kkt-tol", "inf"], "kkt_tol must be finite and positive, got inf"),
+        (["--kkt-tol", "nan"], "kkt_tol must be finite and positive, got nan"),
+        (["--zero-tol", "nan"], "zero_tol must be finite and nonnegative, got nan"),
+        (["--zero-tol", "inf"], "zero_tol must be finite and nonnegative, got inf"),
+    ],
+    ids=["kkt-tol-inf", "kkt-tol-nan", "zero-tol-nan", "zero-tol-inf"],
+)
+def test_fit_rejects_a_non_finite_tolerance(tmp_path, sample_csv, capsys, flags, message):
+    # An infinite kkt_tol once reported an uncertified fit as converged, and a
+    # NaN zero_tol reported no edges.
+    args = ["fit", "-i", sample_csv, "--lambda", "0.1", *flags, "-o", tmp_path / "out"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: InvalidInputError: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.glob("out.*")) == []
+
+
 def test_invalid_parameter_is_usage_error(sample_csv, capsys):
     code = run_cli(["robsel", "-i", sample_csv, "--alpha", "1.5"])
     assert code == 2
@@ -98,10 +119,14 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unknown_flag_exits_with_usage_status():
+def test_unknown_flag_exits_with_usage_status(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["fit", "--mystery-flag", "1"])
     assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--threads", "0", "fit", "-i", "x.csv", "--lambda", "0.1"])
+    assert excinfo.value.code == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
 
 
 def test_robsel_rerun_is_bit_identical(tmp_path, sample_csv, capsys):
@@ -285,11 +310,14 @@ def test_experiment_plan_with_repeats_or_no_methods_is_usage_error(tmp_path, cap
     "line,message",
     [
         ("folds = 1", "folds must be >= 2, got 1"),
-        ("gamma = -3", "gamma must be >= 0, got -3.0"),
+        ("gamma = -3", "gamma must be finite and >= 0, got -3.0"),
         ("grid_size = 0", "grid_size must be >= 2, got 0"),
-        ("zero_tol = -1", "zero_tol must be nonnegative, got -1.0"),
+        ("zero_tol = -1", "zero_tol must be finite and nonnegative, got -1.0"),
+        ("gamma = nan", "gamma must be finite and >= 0, got nan"),
+        ("zero_tol = nan", "zero_tol must be finite and nonnegative, got nan"),
+        ("kkt_tol = inf", "kkt_tol must be finite and positive, got inf"),
     ],
-    ids=["folds", "gamma", "grid_size", "zero_tol"],
+    ids=["folds", "gamma", "grid_size", "zero_tol", "gamma-nan", "zero_tol-nan", "kkt_tol-inf"],
 )
 def test_experiment_plan_with_bad_tuning_setting_is_usage_error(tmp_path, capsys, line, message):
     config = tmp_path / "plan.cfg"
@@ -322,17 +350,24 @@ def test_negative_seed_is_usage_error(tmp_path, sample_csv, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "flag, message",
-    [("--gamma", "gamma must be >= 0, got -1.0"), ("--zero-tol", "zero_tol must be nonnegative, got -1.0")],
-    ids=["gamma", "zero-tol"],
+    "flag, value, message",
+    [
+        ("--gamma", "-1", "gamma must be finite and >= 0, got -1.0"),
+        ("--zero-tol", "-1", "zero_tol must be finite and nonnegative, got -1.0"),
+        ("--gamma", "nan", "gamma must be finite and >= 0, got nan"),
+        ("--gamma", "inf", "gamma must be finite and >= 0, got inf"),
+        ("--zero-tol", "nan", "zero_tol must be finite and nonnegative, got nan"),
+        ("--kkt-tol", "inf", "kkt_tol must be finite and positive, got inf"),
+    ],
+    ids=["gamma", "zero-tol", "gamma-nan", "gamma-inf", "zero-tol-nan", "kkt-tol-inf"],
 )
 def test_ebic_tune_rejects_a_bad_setting_before_any_fit(
-    tmp_path, sample_csv, capsys, monkeypatch, flag, message
+    tmp_path, sample_csv, capsys, monkeypatch, flag, value, message
 ):
     fits = []
     glasso = tuning.glasso
     monkeypatch.setattr(tuning, "glasso", lambda *args: fits.append(args) or glasso(*args))
-    args = ["tune", "-i", sample_csv, "--method", "ebic", flag, "-1", "-o", tmp_path / "out"]
+    args = ["tune", "-i", sample_csv, "--method", "ebic", flag, value, "-o", tmp_path / "out"]
     assert run_cli(args) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: InvalidInputError: {message}\n"
@@ -343,14 +378,16 @@ def test_ebic_tune_rejects_a_bad_setting_before_any_fit(
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--zero-tol", "-1"], "InvalidInputError: zero_tol must be nonnegative, got -1.0"),
-        (["--kkt-tol", "0"], "InvalidInputError: kkt_tol must be positive, got 0.0"),
+        (["--zero-tol", "-1"], "InvalidInputError: zero_tol must be finite and nonnegative, got -1.0"),
+        (["--kkt-tol", "0"], "InvalidInputError: kkt_tol must be finite and positive, got 0.0"),
         (
             ["--no-penalize-diagonal"],
             "SingularInputError: off-diagonal-only penalty requires strictly positive variances",
         ),
+        (["--zero-tol", "nan"], "InvalidInputError: zero_tol must be finite and nonnegative, got nan"),
+        (["--kkt-tol", "nan"], "InvalidInputError: kkt_tol must be finite and positive, got nan"),
     ],
-    ids=["zero-tol", "kkt-tol", "zero-variance"],
+    ids=["zero-tol", "kkt-tol", "zero-variance", "zero-tol-nan", "kkt-tol-nan"],
 )
 def test_robsel_rejects_a_failing_fit_before_the_bootstrap(
     tmp_path, capsys, monkeypatch, flags, message
@@ -460,11 +497,14 @@ def test_evaluate_permissive_universe(tmp_path, capsys):
     )
     reference = tmp_path / "ref.csv"
     reference.write_text("a,b\nz,w\n", encoding="utf-8")
-    assert run_cli(["evaluate", "--edges", edges, "--reference", reference]) == 0
+    prefix = tmp_path / "val"
+    assert run_cli(["evaluate", "--edges", edges, "--reference", reference, "-o", prefix]) == 0
     out = capsys.readouterr().out
-    assert "estimated_edges = 2" in out
-    assert "validated_edges = 1" in out
-    assert "proportion = 0.5" in out
+    assert out == "estimated_edges = 2\nvalidated_edges = 1\nproportion = 0.5\n"
+    # The file holds the same fields as one row.
+    assert (tmp_path / "val.validation.csv").read_text(encoding="utf-8") == (
+        "estimated_edges,validated_edges,proportion\n2,1,0.5\n"
+    )
 
 
 def test_evaluate_skips_edge_list_header_after_byte_order_mark(tmp_path, capsys):
@@ -478,6 +518,34 @@ def test_evaluate_skips_edge_list_header_after_byte_order_mark(tmp_path, capsys)
     out = capsys.readouterr().out
     assert "estimated_edges = 2" in out
     assert "validated_edges = 1" in out
+
+
+def test_evaluate_skips_edge_list_header_after_blank_lines(tmp_path, sample_csv, capsys):
+    # The header is the first non-empty row, as for observation files; read
+    # as an edge it once counted 3 edges, or named unknown nodes with --data.
+    edges = tmp_path / "edges.csv"
+    edges.write_text("\n\nnode_i,node_j,precision_value\ng0,g1,0.5\ng1,g2,-0.25\n", encoding="utf-8")
+    reference = tmp_path / "ref.csv"
+    reference.write_text("g0,g1\ng1,g2\n", encoding="utf-8")
+    for extra in ([], ["--data", sample_csv]):
+        assert run_cli(["evaluate", "--edges", edges, "--reference", reference, *extra]) == 0
+        out = capsys.readouterr().out
+        assert out == "estimated_edges = 2\nvalidated_edges = 2\nproportion = 1\n"
+
+
+def test_evaluate_rejects_a_short_row_and_a_single_name(tmp_path, capsys):
+    reference = tmp_path / "ref.csv"
+    reference.write_text("a,a\n", encoding="utf-8")
+    edges = tmp_path / "edges.csv"
+    for text, message in (
+        ("node_i,node_j,precision_value\na,b\n\nc\n", f"{edges}: row 4 has fewer than 2 fields"),
+        ("a,a,0.5\n", "fewer than two distinct node names found"),
+    ):
+        edges.write_text(text, encoding="utf-8")
+        assert run_cli(["evaluate", "--edges", edges, "--reference", reference]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: InvalidInputError: {message}\n"
+        assert captured.out == ""
 
 
 def test_evaluate_strict_universe_rejects_unknown_names(tmp_path, sample_csv, capsys):

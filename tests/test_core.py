@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -110,8 +111,9 @@ def test_edges_from_precision_threshold_boundary():
 
 
 def test_edges_from_precision_rejects_negative_tolerance():
-    with pytest.raises(InvalidInputError):
-        gs.edges_from_precision(np.eye(2), -1e-8)
+    for zero_tol in (-1e-8, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="zero_tol must be finite and nonnegative"):
+            gs.edges_from_precision(np.eye(2), zero_tol)
 
 
 def test_edges_from_precision_permutation_equivariance():
@@ -145,7 +147,8 @@ def test_edge_set_invariants():
         gs.EdgeSet(4, frozenset({(3, 1)}))
     with pytest.raises(InvalidInputError):
         gs.EdgeSet(4, frozenset({(0, 4)}))
-    edges = gs.EdgeSet.from_pairs(4, [(3, 1), (1, 3), (0, 2)])
+    # triu_indices(4, 1) order: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3)
+    edges = gs.EdgeSet.from_upper(4, np.array([False, True, False, False, True, False]))
     assert set(edges.edges) == {(1, 3), (0, 2)}
     assert (3, 1) in edges and (0, 1) not in edges
 

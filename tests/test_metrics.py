@@ -9,14 +9,14 @@ from helpers import random_edge_pairs
 
 
 def test_confusion_identical_sets():
-    edges = gs.EdgeSet.from_pairs(6, [(0, 1), (2, 5)])
+    edges = gs.EdgeSet(6, frozenset({(0, 1), (2, 5)}))
     counts = gs.confusion(edges, edges)
     assert (counts.tp, counts.fp, counts.fn) == (2, 0, 0)
     assert counts.total == 15
 
 
 def test_confusion_empty_estimate():
-    truth = gs.EdgeSet.from_pairs(5, [(0, 1), (1, 2), (3, 4)])
+    truth = gs.EdgeSet(5, frozenset({(0, 1), (1, 2), (3, 4)}))
     counts = gs.confusion(gs.EdgeSet(5), truth)
     assert (counts.tp, counts.fp, counts.fn, counts.tn) == (0, 0, 3, 7)
 
@@ -94,8 +94,8 @@ def test_metrics_invariant_under_relabeling():
     perm = rng.permutation(d)
 
     def relabel(edge_set):
-        return gs.EdgeSet.from_pairs(
-            d, [(perm[i], perm[j]) for i, j in edge_set]
+        return gs.EdgeSet(
+            d, frozenset(tuple(sorted((perm[i], perm[j]))) for i, j in edge_set)
         )
 
     before = gs.metrics_from_confusion(gs.confusion(estimated, truth))
@@ -104,11 +104,11 @@ def test_metrics_invariant_under_relabeling():
 
 
 def test_validated_report_subset_and_disjoint():
-    reference = gs.EdgeSet.from_pairs(6, [(0, 1), (1, 2), (3, 4), (2, 5)])
-    inside = gs.EdgeSet.from_pairs(6, [(0, 1), (3, 4)])
+    reference = gs.EdgeSet(6, frozenset({(0, 1), (1, 2), (3, 4), (2, 5)}))
+    inside = gs.EdgeSet(6, frozenset({(0, 1), (3, 4)}))
     report = gs.validated_edge_report(inside, reference)
     assert report.proportion == 1.0
-    disjoint = gs.EdgeSet.from_pairs(6, [(0, 2), (4, 5)])
+    disjoint = gs.EdgeSet(6, frozenset({(0, 2), (4, 5)}))
     assert gs.validated_edge_report(disjoint, reference).proportion == 0.0
     empty = gs.EdgeSet(6)
     assert gs.validated_edge_report(empty, reference).proportion is None

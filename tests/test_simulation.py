@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -368,7 +369,9 @@ def test_plan_config_parsing(tmp_path):
     assert plan.methods == ["robsel", "holm"]
     assert plan.gamma == 0.25
     assert plan.penalize_diagonal is False
-    assert plan.solver(0.1) == gs.SolverConfig(lam=0.1, penalize_diagonal=False)
+    assert gs.SolverConfig.from_settings(plan, 0.1) == gs.SolverConfig(
+        lam=0.1, penalize_diagonal=False
+    )
 
 
 def test_plan_config_parses_readme_example(tmp_path):
@@ -413,7 +416,7 @@ def test_plan_config_defaults(tmp_path):
         seed=0,
     )
     assert plan.methods == ["robsel", "holm"]
-    assert plan.solver(0.0) == gs.SolverConfig(
+    assert gs.SolverConfig.from_settings(plan, 0.0) == gs.SolverConfig(
         lam=0.0, penalize_diagonal=True, kkt_tol=1e-6, max_sweeps=500
     )
     assert (plan.zero_tol, plan.folds, plan.gamma, plan.grid_size) == (1e-8, 5, 0.5, 10)
@@ -443,6 +446,9 @@ def test_plan_config_rejects_bad_value(tmp_path):
         message = re.escape(f"invalid value for {key!r}: {raw!r}")
         with pytest.raises(InvalidInputError, match=message):
             gs.load_experiment_config(config)
+    config.write_text("d = 5\nreplications 2\n", encoding="utf-8")
+    with pytest.raises(InvalidInputError, match="line 2 is not 'key = value'"):
+        gs.load_experiment_config(config)
 
 
 def test_plan_validation():
@@ -458,6 +464,10 @@ def test_plan_validation():
         gs.ExperimentPlan(
             d=5, edge_prob=0.1, sample_sizes=[10], replications=1, alphas=[1.5]
         )
+    with pytest.raises(InvalidInputError, match="sample sizes must be >= 2"):
+        gs.ExperimentPlan(sample_sizes=[10, 1])
+    with pytest.raises(InvalidInputError, match="replications must be >= 1"):
+        gs.ExperimentPlan(replications=0)
     # The solver fields are checked when the plan is built, not per cell.
     with pytest.raises(InvalidInputError, match="kkt_tol"):
         gs.ExperimentPlan(kkt_tol=0.0)
@@ -469,15 +479,26 @@ def test_plan_validation():
     "key,value,message",
     [
         ("folds", 1, "folds must be >= 2, got 1"),
-        ("gamma", -3.0, "gamma must be >= 0, got -3.0"),
+        ("gamma", -3.0, "gamma must be finite and >= 0, got -3.0"),
         ("grid_size", 0, "grid_size must be >= 2, got 0"),
-        ("zero_tol", -1.0, "zero_tol must be nonnegative, got -1.0"),
+        ("zero_tol", -1.0, "zero_tol must be finite and nonnegative, got -1.0"),
+        ("gamma", math.nan, "gamma must be finite and >= 0, got nan"),
+        ("gamma", math.inf, "gamma must be finite and >= 0, got inf"),
+        ("zero_tol", math.nan, "zero_tol must be finite and nonnegative, got nan"),
+        ("zero_tol", math.inf, "zero_tol must be finite and nonnegative, got inf"),
+        ("kkt_tol", math.inf, "kkt_tol must be finite and positive, got inf"),
+        ("kkt_tol", math.nan, "kkt_tol must be finite and positive, got nan"),
     ],
-    ids=["folds", "gamma", "grid_size", "zero_tol"],
+    ids=[
+        "folds", "gamma", "grid_size", "zero_tol", "gamma-nan", "gamma-inf",
+        "zero_tol-nan", "zero_tol-inf", "kkt_tol-inf", "kkt_tol-nan",
+    ],
 )
 def test_plan_rejects_tuning_setting_that_every_cell_would_reject(tmp_path, key, value, message):
     # The plan applies the rule of the function that uses the value
-    # (cv_select, ebic_score, lambda_grid, edges_from_precision) at load.
+    # (cv_select, ebic_score, lambda_grid, edges_from_precision, SolverConfig)
+    # at load. Non-finite tolerances once ran every cell and gave wrong
+    # rates without a warning.
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         gs.ExperimentPlan(**{key: value})
     config = tmp_path / "plan.cfg"

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -220,8 +221,9 @@ def test_zero_variance_column_is_regularized_with_penalty():
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         gs.SolverConfig(lam=-0.1)
-    with pytest.raises(InvalidInputError):
-        gs.SolverConfig(lam=0.1, kkt_tol=0.0)
+    for kkt_tol in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="kkt_tol must be finite and positive"):
+            gs.SolverConfig(lam=0.1, kkt_tol=kkt_tol)
     with pytest.raises(InvalidInputError):
         gs.SolverConfig(lam=0.1, max_sweeps=0)
 

@@ -83,8 +83,7 @@ def test_partial_correlations_singular_input():
 
 
 def test_pvalue_of_zero_correlation_is_one():
-    pmatrix = gs.unadjusted_pvalues(np.eye(5), n=50)
-    assert np.all(pmatrix.unadjusted == 1.0)
+    assert np.all(gs.unadjusted_pvalues(np.eye(5), n=50) == 1.0)
 
 
 def test_pvalue_quantile_inversion():
@@ -92,21 +91,20 @@ def test_pvalue_quantile_inversion():
     r = math.tanh(1.959964 / math.sqrt(n - d - 1))
     R = np.eye(d)
     R[0, 1] = R[1, 0] = r
-    pmatrix = gs.unadjusted_pvalues(R, n)
-    assert pmatrix.unadjusted[0] == pytest.approx(0.05, abs=1e-6)
+    assert gs.unadjusted_pvalues(R, n)[0] == pytest.approx(0.05, abs=1e-6)
 
 
 def test_pvalues_match_erfc_oracle():
     rng = np.random.default_rng(64)
     n, d = 200, 6
     R = gs.partial_correlations(random_covariance(rng, d, n=n))
-    pmatrix = gs.unadjusted_pvalues(R, n)
+    pvals = gs.unadjusted_pvalues(R, n)
     scale = math.sqrt(n - d - 1)
     rows, cols = np.triu_indices(d, k=1)
     for k, (i, j) in enumerate(zip(rows, cols)):
         z = abs(math.atanh(R[i, j]))
         expected = math.erfc(scale * z / math.sqrt(2.0))
-        assert abs(pmatrix.unadjusted[k] - expected) <= 1e-12
+        assert abs(pvals[k] - expected) <= 1e-12
 
 
 def test_pvalues_match_scipy_normal_tail_oracle():
@@ -124,7 +122,7 @@ def test_pvalues_match_scipy_normal_tail_oracle():
     R[cols, rows] = r
     smallest = 1.0
     for n in (d + 2, 100, 5000):
-        pvals = gs.unadjusted_pvalues(R, n).unadjusted
+        pvals = gs.unadjusted_pvalues(R, n)
         expected = 2.0 * ndtr(-np.sqrt(n - d - 1) * np.abs(np.arctanh(r)))
         assert pvals[0] == 1.0
         tail = expected >= 1e-300
@@ -142,12 +140,19 @@ def test_pvalues_not_applicable_when_sample_too_small():
         gs.testing_select(rng.standard_normal((11, 10)), alpha=0.1)
 
 
+def test_pvalues_reject_a_correlation_outside_the_unit_interval():
+    R = np.eye(3)
+    R[0, 1] = R[1, 0] = 1.0 + 1e-9
+    with pytest.raises(InvalidInputError, match=r"partial correlations must lie in \[-1, 1\]"):
+        gs.unadjusted_pvalues(R, n=50)
+
+
 def test_degenerate_correlation_warns_and_zeroes():
     R = np.eye(3)
     R[0, 1] = R[1, 0] = 1.0
     with pytest.warns(DegenerateCorrelationWarning):
-        pmatrix = gs.unadjusted_pvalues(R, n=50)
-    assert pmatrix.unadjusted[0] == 0.0
+        pvals = gs.unadjusted_pvalues(R, n=50)
+    assert pvals[0] == 0.0
 
 
 def test_holm_hand_example():
@@ -267,12 +272,14 @@ def test_rejections_keep_the_pairs_at_or_below_alpha():
 
 def test_pvalue_matrix_validation():
     with pytest.raises(InvalidInputError):
-        gs.PValueMatrix(3, np.array([0.1, 0.2]))  # wrong length
+        gs.PValueMatrix(3, np.array([0.1, 0.2]), np.array([0.1, 0.2]))  # wrong length
     with pytest.raises(InvalidInputError):
-        gs.PValueMatrix(3, np.array([0.1, 0.2, 1.5]))
+        gs.PValueMatrix(3, np.array([0.1, 0.2, 0.3]), np.array([0.1, 0.2]))
+    with pytest.raises(InvalidInputError):
+        gs.PValueMatrix(3, np.array([0.1, 0.2, 1.5]), np.array([0.1, 0.2, 1.5]))
     with pytest.raises(InvalidInputError):
         gs.PValueMatrix(3, np.array([0.3, 0.3, 0.3]), np.array([0.2, 0.4, 0.4]))
     pmatrix = gs.PValueMatrix(3, np.array([0.1, 0.2, 0.3]), np.array([0.3, 0.4, 0.3]))
-    matrix = pmatrix.as_matrix("adjusted")
+    matrix = pmatrix.as_matrix()
     assert np.isnan(matrix[0, 0])
     assert matrix[0, 1] == 0.3 and matrix[1, 0] == 0.3

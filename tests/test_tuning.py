@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ggmselect as gs
-from ggmselect import InvalidInputError
+from ggmselect import InvalidInputError, tuning
 from ggmselect.tuning import _pick_minimum
 
 from helpers import random_covariance
@@ -43,6 +43,15 @@ def test_grid_validation():
     rng = np.random.default_rng(82)
     with pytest.raises(InvalidInputError):
         gs.lambda_grid(random_covariance(rng, 3), 1)
+    for values, s_max, message in (
+        ([], 1.0, "nonempty vector"),
+        ([[1.0, 0.5]], 1.0, "nonempty vector"),
+        ([1.0, 1.0], 1.0, "strictly decreasing"),
+        ([1.0, 0.5], 2.0, r"\(0, s_max\]"),
+        ([1.0, -0.5], 1.0, r"\(0, s_max\]"),
+    ):
+        with pytest.raises(InvalidInputError, match=message):
+            gs.LambdaGrid(values=np.array(values), s_max=s_max)
 
 
 def test_ebic_identity_case():
@@ -99,8 +108,12 @@ def test_ebic_strictly_increasing_in_edge_count():
 
 
 def test_ebic_validation():
-    with pytest.raises(InvalidInputError):
-        gs.ebic_score(np.eye(3), np.eye(3), n=30, d=3, gamma=-0.5)
+    for gamma in (-0.5, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="gamma must be finite and >= 0"):
+            gs.ebic_score(np.eye(3), np.eye(3), n=30, d=3, gamma=gamma)
+    for n, d in ((1, 3), (30, 1)):
+        with pytest.raises(InvalidInputError, match="need n >= 2 and d >= 2"):
+            gs.ebic_score(np.eye(3), np.eye(3), n=n, d=d, gamma=0.5)
     with pytest.raises(gs.SingularInputError):
         gs.ebic_score(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), 30, 2, 0.5)
 
@@ -112,6 +125,27 @@ def test_ebic_select_single_value_grid():
     result = gs.ebic_select(data, grid)
     assert result.chosen_lambda == 0.2
     assert len(result.scores) == 1
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"gamma": math.nan}, "gamma must be finite and >= 0, got nan"),
+        ({"gamma": math.inf}, "gamma must be finite and >= 0, got inf"),
+        ({"zero_tol": math.nan}, "zero_tol must be finite and nonnegative, got nan"),
+        ({"zero_tol": math.inf}, "zero_tol must be finite and nonnegative, got inf"),
+    ],
+    ids=["gamma-nan", "gamma-inf", "zero-tol-nan", "zero-tol-inf"],
+)
+def test_ebic_select_rejects_a_non_finite_setting_before_any_fit(monkeypatch, setting, message):
+    # A NaN gamma gave empty scores and an infinite one picked s_max.
+    data = np.random.default_rng(87).standard_normal((40, 4))
+    grid = gs.lambda_grid(gs.empirical_covariance(data), 3)
+    fits = []
+    monkeypatch.setattr(tuning, "glasso", lambda *args, **kwargs: fits.append(args))
+    with pytest.raises(InvalidInputError, match=message):
+        gs.ebic_select(data, grid, **setting)
+    assert fits == []
 
 
 def test_loglik_maximized_at_unpenalized_mle():
