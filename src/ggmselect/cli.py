@@ -325,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--bootstrap",
         type=int,
         default=RobselConfig.B,
-        help="bootstrap replicates B; the B x n resample counts are held at "
-        "once, 2 bytes each below n = 65536, so memory grows linearly in B",
+        help="bootstrap replicates B; memory is the B x n resample counts, "
+        "2 bytes each below n = 65536, plus one pair tile's buffers per "
+        "thread, about B x 5 KB; the data is not copied",
     )
     p.add_argument("--seed", type=int, default=RobselConfig.seed)
     p.add_argument(

@@ -70,11 +70,19 @@ _PAIR_BLOCK = 256
 _ROW_CHUNK = 128
 
 
-def _resamples(X, B: int, seed: int, center: bool):
+def _shifted_chunks(X, shift):
+    """(rows, X[rows] - shift) for each chunk of ``_ROW_CHUNK`` rows: the
+    data is shifted as it is read, never copied whole."""
+    for start in range(0, X.shape[0], _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
+        yield rows, X[rows] - shift
+
+
+def _resamples(X, shift, B: int, seed: int, center: bool):
     """Counts c_bk of each row k in the draw of replicate b = 1..B,
     ``default_rng((seed, b)).integers(0, n, n)``, stored exactly as
     ``np.min_scalar_type(n)``; and with ``center`` the resample means
-    m_b = sum_k c_bk x_k / n, else None."""
+    m_b = sum_k c_bk (x_k - shift) / n, else None."""
     n, d = X.shape
     counts = np.empty((B, n), dtype=np.min_scalar_type(n))
     for b in range(1, B + 1):
@@ -83,28 +91,30 @@ def _resamples(X, B: int, seed: int, center: bool):
     if not center:
         return counts, None
     means = np.zeros((B, d))
-    for start in range(0, n, _ROW_CHUNK):
-        rows = slice(start, start + _ROW_CHUNK)
-        means += counts[:, rows].astype(float) @ X[rows]
+    for rows, chunk in _shifted_chunks(X, shift):
+        means += counts[:, rows].astype(float) @ chunk
     return counts, means / n
 
 
-def _tile_maxima(X, A, counts, means, I, J) -> np.ndarray:
+def _tile_maxima(X, shift, A, counts, means, I, J) -> np.ndarray:
     """max over the pairs (I, J) of |S_b - A| for every replicate b, where
-    S_b = sum_k c_bk x_k x_k^T / n, less m_b m_b^T when ``means`` is given.
-    Each chunk of rows forms its products x_ki x_kj once and weights them by
-    all B count rows in one product, so neither the n x d(d+1)/2 products
-    nor the float counts are held whole."""
+    S_b = sum_k c_bk y_k y_k^T / n with y_k = x_k - shift, less m_b m_b^T
+    when ``means`` is given. Each chunk of rows forms its products y_ki y_kj
+    once and weights them by all B count rows in one product, so neither the
+    n x d(d+1)/2 products nor the float counts are held whole."""
     n = X.shape[0]
     S = np.zeros((counts.shape[0], I.size))
-    for start in range(0, n, _ROW_CHUNK):
-        rows = slice(start, start + _ROW_CHUNK)
-        products = X[rows, I]
-        products *= X[rows, J]
+    for rows, chunk in _shifted_chunks(X, shift):
+        products = chunk[:, I]
+        products *= chunk[:, J]
         S += counts[:, rows].astype(float) @ products
+    # Free the chunk buffers before the mean correction gathers its own.
+    del chunk, products
     S /= n
     if means is not None:
-        S -= means[:, I] * means[:, J]
+        outer = means[:, I]
+        outer *= means[:, J]
+        S -= outer
     S -= A[I, J]
     return np.abs(S, out=S).max(axis=1)
 
@@ -116,22 +126,23 @@ def bootstrap_rwp_samples(data, config: RobselConfig, center: bool = True, threa
     or with ``center=False`` the raw second moment of the resample. (To
     center replicates at the full-sample mean instead, center the data at
     its mean and pass ``center=False``.) Replicate b depends only on
-    (config.seed, b). All B count rows are held at once, at most B * n * 2
-    bytes below n = 65536, so memory grows linearly in B. Each tile of pairs
-    (i, j) is one task at shapes fixed by (B, n, d), and R*_b is the maximum
-    over the tiles, so every thread count gives bit-identical results.
+    (config.seed, b). The working set is the B count rows, at most B * n * 2
+    bytes below n = 65536, plus one pair tile's buffers per thread, about
+    B * 5 KB; no copy of the data is made, so memory grows linearly in B and
+    not in n * d. Each tile of pairs (i, j) is one task at shapes fixed by
+    (B, n, d), and R*_b is the maximum over the tiles, so every thread count
+    gives bit-identical results.
     """
-    data = as_data_matrix(data)
-    values = data.values
+    values = as_data_matrix(data).values
     A = _cov(values, center=center)
     # Centered replicates are shift-invariant, so they are formed from the
-    # data centered at its mean, where S_b - m_b m_b^T cancels less.
-    if center:
-        values = values - values.mean(axis=0)
-    counts, means = _resamples(values, config.B, config.seed, center)
+    # data shifted by its mean, where S_b - m_b m_b^T cancels less. Each row
+    # chunk is shifted as it is read; a zero shift leaves the raw moments.
+    shift = values.mean(axis=0) if center else np.zeros(values.shape[1])
+    counts, means = _resamples(values, shift, config.B, config.seed, center)
     pairs = np.array(np.triu_indices(values.shape[1]))
     tiles = np.split(pairs, range(_PAIR_BLOCK, pairs.shape[1], _PAIR_BLOCK), axis=1)
-    maxima = parallel_map(lambda tile: _tile_maxima(values, A, counts, means, *tile), tiles, threads)
+    maxima = parallel_map(lambda tile: _tile_maxima(values, shift, A, counts, means, *tile), tiles, threads)
     return np.sort(np.max(maxima, axis=0))
 
 

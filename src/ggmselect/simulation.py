@@ -474,11 +474,12 @@ def load_experiment_config(path) -> ExperimentPlan:
 
     Text from a '#' to the end of its line is a comment, and blank lines are
     ignored; lists are comma-separated. Each key is an ExperimentPlan field
-    (``bootstrap`` sets ``B``), and a key the file omits keeps the field's
-    default.
+    (``bootstrap`` sets ``B``), given at most once; a key the file omits
+    keeps the field's default.
     """
     defaults = _plan_defaults()
     values = dict(defaults)
+    seen = {}
     with open(path, encoding="utf-8") as handle:
         for ln, line in enumerate(handle, start=1):
             stripped = line.partition("#")[0].strip()
@@ -490,6 +491,11 @@ def load_experiment_config(path) -> ExperimentPlan:
             key = key.strip()
             if key not in defaults:
                 raise InvalidInputError(f"{path}: unknown key {key!r} on line {ln}")
+            if key in seen:
+                raise InvalidInputError(
+                    f"{path}: key {key!r} on line {ln} repeats line {seen[key]}"
+                )
+            seen[key] = ln
             values[key] = _parse_plan_value(key, raw, defaults[key])
     values["B"] = values.pop("bootstrap")
     return ExperimentPlan(**values)

@@ -162,17 +162,17 @@ def test_bootstrap_block_of_a_single_variable(center):
     rng = np.random.default_rng(40)
     data = rng.standard_normal((50, 1)) + 3.0
     config = gs.RobselConfig(alpha=0.2, B=40, seed=13)
-    X = data - data.mean(axis=0) if center else data
-    counts, means = robsel._resamples(X, config.B, config.seed, center)
+    shift = data.mean(axis=0) if center else np.zeros(1)
+    counts, means = robsel._resamples(data, shift, config.B, config.seed, center)
     pair = np.zeros(1, dtype=int)
-    samples = robsel._tile_maxima(X, _cov(data, center), counts, means, pair, pair)
+    samples = robsel._tile_maxima(data, shift, _cov(data, center), counts, means, pair, pair)
     expected = bootstrap_rwp_reference(data, config, center=center)
     np.testing.assert_allclose(np.sort(samples), expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n,dtype", [(255, np.uint8), (256, np.uint16), (70000, np.uint32)])
 def test_resample_counts_are_exact_in_the_narrowest_dtype(n, dtype):
-    counts, means = robsel._resamples(np.zeros((n, 2)), 3, 16, center=False)
+    counts, means = robsel._resamples(np.zeros((n, 2)), np.zeros(2), 3, 16, center=False)
     assert counts.dtype == dtype
     assert means is None
     for b in (1, 2, 3):
@@ -205,13 +205,40 @@ def test_bootstrap_hands_the_pool_one_item_per_pair_tile(monkeypatch, B):
     assert handed == [(4, 4)]
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@CENTERS
+@pytest.mark.parametrize("d", [12, 30])  # one partial pair tile; two tiles
+def test_shifting_each_row_chunk_equals_shifting_the_data_first(d, center, threads):
+    # n = 3201 leaves a last row chunk of one row.
+    rng = np.random.default_rng(44)
+    data = rng.exponential(1.0, size=(3201, d)) + 2.0
+    config = gs.RobselConfig(alpha=0.1, B=40, seed=18)
+    samples = gs.bootstrap_rwp_samples(data, config, center=center, threads=threads)
+    shifted = data - data.mean(axis=0) if center else data
+    no_shift = np.zeros(d)
+    counts, means = robsel._resamples(shifted, no_shift, config.B, config.seed, center)
+    I, J = np.triu_indices(d)
+    A, step = _cov(data, center), robsel._PAIR_BLOCK
+    maxima = [
+        robsel._tile_maxima(shifted, no_shift, A, counts, means, I[s : s + step], J[s : s + step])
+        for s in range(0, I.size, step)
+    ]
+    assert np.array_equal(samples, np.sort(np.max(maxima, axis=0)))
+
+
 def test_bootstrap_working_set_stays_small():
-    # The products x_i * x_j over all pairs would take 33 MB here; they are
-    # formed one tile at a time. Past B = 200 each replicate adds its count
-    # row (n entries of 2 bytes) and a row of a few pair-tile buffers.
-    n = 3200
-    data = np.random.default_rng(42).standard_normal((n, 50))
-    per_replicate = n * 2 + 5 * robsel._PAIR_BLOCK * 8
+    # The products x_i * x_j over all pairs would take 33 MB here, and a
+    # shifted copy of the data 1.3 MB; neither is made. What is held:
+    n, d = 3200, 50
+    row = robsel._PAIR_BLOCK * 8
+    # a shifted row chunk, its gathered products and one more gather;
+    fixed = robsel._ROW_CHUNK * (8 * d + 2 * row)
+    # per replicate its count row (n entries of 2 bytes), its mean (d
+    # floats) and three tile rows: S with the GEMM product and the float
+    # count chunk (half a row) while chunks run, then S and the two
+    # mean-correction gathers. The 10% covers the small arrays.
+    per_replicate = 2 * n + 8 * d + 3 * row
+    data = np.random.default_rng(42).standard_normal((n, d))
     for B in (200, 1000):
         config = gs.RobselConfig(alpha=0.1, B=B, seed=15)
         tracemalloc.start()
@@ -220,7 +247,7 @@ def test_bootstrap_working_set_stays_small():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5e6 + (B - 200) * per_replicate
+        assert peak <= 1.1 * (fixed + B * per_replicate)
 
 
 def _robsel_then_fit(data, config):

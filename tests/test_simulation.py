@@ -431,6 +431,15 @@ def test_plan_config_rejects_unknown_key(tmp_path):
             gs.load_experiment_config(config)
 
 
+def test_plan_config_rejects_a_repeated_key(tmp_path):
+    # The same value twice is rejected too: neither line silently wins.
+    config = tmp_path / "plan.cfg"
+    for second in ("alphas = 0.2", "alphas = 0.1"):
+        config.write_text(f"alphas = 0.1\nd = 5\n\n{second}  # again\n", encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="key 'alphas' on line 4 repeats line 1"):
+            gs.load_experiment_config(config)
+
+
 def test_plan_config_rejects_bad_value(tmp_path):
     config = tmp_path / "plan.cfg"
     # Each key is parsed as the type of its default: bool, int, float or a list.
