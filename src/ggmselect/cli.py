@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=RobselConfig.B,
         help="bootstrap replicates B; memory is the B x n resample counts, "
         "2 bytes each below n = 65536, plus one pair tile's buffers per "
-        "thread, about B x 5 KB; the data is not copied",
+        "thread, about B x 5 KB; the loop holds no centered copy of the data",
     )
     p.add_argument("--seed", type=int, default=RobselConfig.seed)
     p.add_argument(

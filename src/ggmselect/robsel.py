@@ -128,8 +128,9 @@ def bootstrap_rwp_samples(data, config: RobselConfig, center: bool = True, threa
     its mean and pass ``center=False``.) Replicate b depends only on
     (config.seed, b). The working set is the B count rows, at most B * n * 2
     bytes below n = 65536, plus one pair tile's buffers per thread, about
-    B * 5 KB; no copy of the data is made, so memory grows linearly in B and
-    not in n * d. Each tile of pairs (i, j) is one task at shapes fixed by
+    B * 5 KB; the bootstrap loop holds no centered copy of the data. The
+    full-sample covariance A, formed first, still centers one n * d copy,
+    which is freed before the counts are drawn. Each tile of pairs (i, j) is one task at shapes fixed by
     (B, n, d), and R*_b is the maximum over the tiles, so every thread count
     gives bit-identical results.
     """

@@ -42,8 +42,12 @@ def test_summary_arithmetic_on_fixed_numbers(pairs):
     # Nine wins whose medians differ by no more than REV's IQR are no gain.
     close = pairs.summarize(rev, [v + 1 for v in rev[:9]] + [0.0], "higher", 0.25)
     assert close["wins"] == 9 and not close["gain"]
+    # Fewer than ten pairs are no gain, however clear they are.
     one = pairs.summarize([2.0], [1.0], "lower", 0.25)
-    assert one["rev"] == {"q1": 2.0, "median": 2.0, "q3": 2.0} and one["gain"]
+    assert one["rev"] == {"q1": 2.0, "median": 2.0, "q3": 2.0} and one["wins"] == 1
+    assert not one["gain"]
+    nine = pairs.summarize(rev[:9], [v + 100 for v in rev[:9]], "higher", 0.25)
+    assert nine["wins"] == 9 and not nine["gain"]
 
 
 def test_a_changed_bench_file_is_listed(pairs, tmp_path):

@@ -2,23 +2,24 @@
 and on the working tree, one pair at a time, and summarize each end-to-end
 metric.
 
-    python tools/pairs.py REV [--workload W ...] [--pairs N] [--seconds S]
-                              [--seed S0] [--size full|tiny] [--json PATH]
+    python tools/pairs.py REV [--json PATH]
 
 REV is exported the way ``tools/golden.py`` exports it. The tool refuses to
 run when any file under ``bench/`` differs between REV and the working tree,
-because both sides must run the same benchmark. Pair i runs
-``bench/run.py --workload W --seed S0+i --seconds S [--size ...]`` once in
-each tree, each with its own ``src``; REV runs first in even pairs and the
-working tree first in odd ones. Workloads, run length and each metric's
-direction and bound come from ``BENCHMARK.json``.
+because both sides must run the same benchmark. For every workload it runs
+ten pairs at full size; pair i runs
+``bench/run.py --workload W --seed i --seconds S`` once in each tree, each
+with its own ``src``, for i = 1..10; REV runs first in odd pairs and the
+working tree first in even ones. Workloads, the run length S and each
+metric's direction and bound come from ``BENCHMARK.json``.
 
 For each workload and metric the summary gives each side's median and
 quartiles, the relative change of the medians, the working tree's wins
 (ties count for neither side), and two verdicts:
 
-- ``gain``: the working tree wins at least nine tenths of the pairs, and its
-  median is better than REV's by more than REV's interquartile range;
+- ``gain``: there are at least ten pairs, the working tree wins at least
+  nine tenths of them, and its median is better than REV's by more than
+  REV's interquartile range;
 - ``within_bound``: its median is no worse than REV's by more than the
   metric's bound.
 
@@ -38,9 +39,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from golden import ROOT, collect, differences, export
 
 SIDES = ("rev", "work")
+PAIRS = 10  # the fewest pairs from which a gain may be claimed
+FIRST_SEED = 1
 
 
 def spec() -> dict:
@@ -54,22 +59,13 @@ def bench_files(tree: Path) -> dict:
             if "__pycache__" not in path.split("/")}
 
 
-def quantile(values, q: float) -> float:
-    """Linear interpolation between order statistics (numpy's default)."""
-    ordered = sorted(values)
-    pos = q * (len(ordered) - 1)
-    low = int(pos)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (pos - low)
-
-
 def summarize(rev, work, better: str, bound: float) -> dict:
     """Summary of one metric over pairs: ``rev[i]`` and ``work[i]`` are the
     two sides' values in pair i; ``better`` is "higher" or "lower"."""
     sign = 1.0 if better == "higher" else -1.0
     side = {}
     for name, values in zip(SIDES, (rev, work)):
-        side[name] = {q: quantile(values, p) for q, p in (("q1", 0.25), ("median", 0.5), ("q3", 0.75))}
+        side[name] = dict(zip(("q1", "median", "q3"), np.quantile(values, (0.25, 0.5, 0.75)).tolist()))
     wins = sum(sign * (w - r) > 0 for r, w in zip(rev, work))
     losses = sum(sign * (w - r) < 0 for r, w in zip(rev, work))
     rev_med, work_med = side["rev"]["median"], side["work"]["median"]
@@ -81,7 +77,7 @@ def summarize(rev, work, better: str, bound: float) -> dict:
         "wins": wins,
         "losses": losses,
         "pairs": len(rev),
-        "gain": wins >= 0.9 * len(rev) and sign * (work_med - rev_med) > iqr,
+        "gain": len(rev) >= PAIRS and wins >= 0.9 * len(rev) and sign * (work_med - rev_med) > iqr,
         "within_bound": change is None or -sign * change <= bound,
     }
 
@@ -145,16 +141,9 @@ def main(argv=None) -> int:
     bench = spec()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the revision to compare the working tree against")
-    parser.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]],
-                        help="a workload to run (repeatable; default: all)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--json", type=Path, default=None, help="write the summary here")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
+    seconds = bench["run_seconds"]
     scratch = Path(tempfile.mkdtemp(prefix="ggmselect-pairs-"))
     try:
         tree = scratch / "tree"
@@ -165,17 +154,16 @@ def main(argv=None) -> int:
                   *moved, sep="\n  ", file=sys.stderr)
             return 2
         metrics = {m["name"]: m for m in bench["end_to_end"]}
-        result = run_pairs({"rev": tree, "work": ROOT},
-                           args.workload or [w["name"] for w in bench["workloads"]],
-                           args.pairs, args.seconds, args.seed, args.size, metrics)
+        result = run_pairs({"rev": tree, "work": ROOT}, [w["name"] for w in bench["workloads"]],
+                           PAIRS, seconds, FIRST_SEED, "full", metrics)
     finally:
         shutil.rmtree(scratch)
     print(report(result))
     if args.json is not None:
         commit = subprocess.run(["git", "rev-parse", args.rev], cwd=ROOT, capture_output=True,
                                 text=True, check=True).stdout.strip()
-        summary = {"rev": args.rev, "rev_commit": commit, "pairs": args.pairs, "seconds": args.seconds,
-                   "size": args.size, "workloads": result}
+        summary = {"rev": args.rev, "rev_commit": commit, "pairs": PAIRS, "seconds": seconds,
+                   "size": "full", "workloads": result}
         args.json.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     correct = all(run[name]["correct"] for body in result.values()
                   for run in body["runs"] for name in SIDES)
