@@ -159,9 +159,8 @@ def _cmd_robsel(args) -> int:
 
 def _cmd_test(args) -> int:
     data = _load_input(args)
-    result = testing_select(
-        data, alpha=args.alpha, method=args.method, center=not args.no_center
-    )
+    A = empirical_covariance(data, center=not args.no_center)
+    result = testing_select(A, data.n, alpha=args.alpha, method=args.method)
     print(f"alpha = {format_real(args.alpha)}")
     print(f"method = {args.method}")
     print(f"edges = {len(result.edges)}")
@@ -187,14 +186,8 @@ def _cmd_tune(args) -> int:
             threads=args.threads,
         )
     else:
-        tuned = ebic_select(
-            data,
-            grid,
-            gamma=args.gamma,
-            solver_config=base,
-            zero_tol=args.zero_tol,
-            center=not args.no_center,
-        )
+        tuned = ebic_select(A, grid, data.n, gamma=args.gamma, solver_config=base,
+                            zero_tol=args.zero_tol)
     write_csv(f"{args.output_prefix}.scores.csv", ("lambda", "score"), tuned.scores)
     _report(
         {"method": args.method, "chosen_lambda": tuned.chosen_lambda},

@@ -355,16 +355,24 @@ def atomic_text_writer(path):
         raise
 
 
+def _quote(text: str) -> str:
+    """``text`` as ``csv`` writes a cell: quoted, its quotes doubled, when it
+    holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def _cells(row) -> list[str]:
-    """The CSV cells of ``row``: strings and integers as they are, and every
-    other value through ``format_real``."""
-    return [str(v) if isinstance(v, (str, int)) else format_real(v) for v in row]
+    """The CSV cells of ``row``: strings through ``_quote``, integers as
+    they are, and every other value through ``format_real``."""
+    # A number, the common cell, pays a single isinstance test.
+    return [(_quote(v) if isinstance(v, str) else str(v)) if isinstance(v, (str, int))
+            else format_real(v) for v in row]
 
 
 def write_csv(path, header, rows) -> None:
     """Write a CSV file atomically, one line per row of ``_cells``."""
     with atomic_text_writer(path) as handle:
-        handle.write(",".join(header) + "\n")
+        handle.write(",".join(_cells(header)) + "\n")
         for row in rows:
             handle.write(",".join(_cells(row)) + "\n")
 

@@ -301,11 +301,11 @@ def _select(method, data, A, plan, keys) -> list:
             for alpha in plan.alphas
         ]
     if method in ADJUSTMENT_METHODS:
-        # Checked before the inversion, which is singular at n <= d.
-        _check_testable(data.n, data.d)
+        # testing_select's steps on its (A, n), with one p-value matrix for every alpha.
+        _check_testable(data.n, len(A))
         pvalues = unadjusted_pvalues(partial_correlations(A), data.n)
         adjusted = adjust_pvalues(pvalues, method)
-        return [(alpha, None, _rejections(adjusted, data.d, alpha)) for alpha in plan.alphas]
+        return [(alpha, None, _rejections(adjusted, len(A), alpha)) for alpha in plan.alphas]
     grid = lambda_grid(A, plan.grid_size)
     base = SolverConfig.from_settings(plan, 0.0)
     if method == "cv":
@@ -313,9 +313,8 @@ def _select(method, data, A, plan, keys) -> list:
             data, folds=plan.folds, grid=grid, solver_config=base, seed=_child_seed(*keys, 3)
         )
     else:
-        tuned = ebic_select(
-            data, grid, gamma=plan.gamma, solver_config=base, zero_tol=plan.zero_tol
-        )
+        tuned = ebic_select(A, grid, data.n, gamma=plan.gamma, solver_config=base,
+                            zero_tol=plan.zero_tol)
     return [(None, tuned.chosen_lambda, None)]
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EdgeSet, SelectionResult, _check_alpha, _cov, as_data_matrix, check_square_symmetric, symmetrize
+from .core import EdgeSet, SelectionResult, _check_alpha, check_square_symmetric, symmetrize
 from .errors import (
     DegenerateCorrelationWarning,
     InvalidInputError,
@@ -177,8 +177,9 @@ def _rejections(adjusted, d: int, alpha: float) -> EdgeSet:
     return EdgeSet.from_upper(d, adjusted <= alpha)
 
 
-def testing_select(data, alpha: float, method: str = "holm", center: bool = True) -> SelectionResult:
-    """Select a graph by testing all pairwise partial correlations.
+def testing_select(A, n: int, alpha: float, method: str = "holm") -> SelectionResult:
+    """Select a graph by testing all pairwise partial correlations of the
+    covariance ``A`` of ``n`` samples.
 
     An edge (i, j) is reported when its adjusted p-value is <= alpha. The
     result carries no precision estimate; testing only identifies the
@@ -186,10 +187,9 @@ def testing_select(data, alpha: float, method: str = "holm", center: bool = True
     arrays as a ``PValueMatrix``.
     """
     _check_alpha(alpha)
-    data = as_data_matrix(data)
-    n, d = data.n, data.d
-    _check_testable(n, d)
-    A = _cov(data.values, center=center)
+    A = check_square_symmetric(A, "covariance matrix")
+    d = A.shape[0]
+    _check_testable(n, d)  # before the inversion, which is singular at n <= d
     pvalues = unadjusted_pvalues(partial_correlations(A), n)
     adjusted = adjust_pvalues(pvalues, method)
     return SelectionResult(

@@ -28,12 +28,14 @@ from .core import (
     _check_zero_tol,
     _cov,
     as_data_matrix,
+    check_square_symmetric,
     edges_from_precision,
     max_offdiag_abs,
     parallel_map,
+    symmetrize,
 )
 from .errors import InvalidInputError
-from .solver import SolverConfig, _check_pair, _chol_logdet, glasso
+from .solver import SolverConfig, _chol_logdet, glasso
 
 #: The methods that tune their own penalty, for the CLI and the sweep.
 TUNING_METHODS = ("cv", "ebic")
@@ -179,52 +181,48 @@ def cv_select(
     )
 
 
-def ebic_score(
-    precision,
-    A,
-    n: int,
-    d: int,
-    gamma: float,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> float:
+def _check_sample(A, n: int) -> np.ndarray:
+    """``A`` checked as the covariance of n >= 2 samples of d >= 2 variables."""
+    A = check_square_symmetric(A, "covariance matrix")
+    if n < 2 or A.shape[0] < 2:
+        raise InvalidInputError(f"need n >= 2 and d >= 2, got n={n}, d={A.shape[0]}")
+    return A
+
+
+def ebic_score(precision, A, n: int, gamma: float, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
     """Extended BIC of a fitted precision matrix.
 
-    Computes -2 * L + |E| * log(n) + 4 * gamma * |E| * log(d) with
-    L = (n/2)(log det K - trace(K A)) and |E| the number of edges of K at
-    threshold ``zero_tol``.
+    Computes -2 * L + |E| * log(n) + 4 * gamma * |E| * log(d) with d the size
+    of the covariance ``A`` of ``n`` samples, L = (n/2)(log det K - trace(K A))
+    and |E| the number of edges of K at threshold ``zero_tol``.
     """
     _check_tuning(gamma=gamma)
-    if n < 2 or d < 2:
-        raise InvalidInputError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    precision, A = _check_pair(precision, A)
+    A = _check_sample(A, n)
+    # edges_from_precision checks K; a checked K is symmetrized without a rescan.
+    n_edges = len(edges_from_precision(precision, zero_tol))
+    precision = symmetrize(precision)
+    if precision.shape != A.shape:
+        raise InvalidInputError("precision and covariance dimensions differ")
     logdet = _chol_logdet(precision, "precision matrix is not positive definite")
     loglik = 0.5 * n * (logdet - float(np.sum(precision * A)))
-    n_edges = len(edges_from_precision(precision, zero_tol))
-    return -2.0 * loglik + n_edges * math.log(n) + 4.0 * gamma * n_edges * math.log(d)
+    return -2.0 * loglik + n_edges * math.log(n) + 4.0 * gamma * n_edges * math.log(A.shape[0])
 
 
 def ebic_select(
-    data,
-    grid: LambdaGrid,
-    gamma: float = DEFAULT_GAMMA,
-    solver_config: SolverConfig | None = None,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    center: bool = True,
+    A, grid: LambdaGrid, n: int, *, gamma: float = DEFAULT_GAMMA,
+    solver_config: SolverConfig | None = None, zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> TuningResult:
-    """Fit the full grid (warm-started, descending) and minimize the EBIC.
+    """Fit the full grid (warm-started, descending) to the covariance ``A``
+    of ``n`` samples and minimize the EBIC.
 
-    ``gamma`` and ``zero_tol`` are checked before the first fit.
+    ``gamma``, ``zero_tol``, ``A`` and ``n`` are checked before the first fit.
     """
     _check_tuning(gamma=gamma)
     _check_zero_tol(zero_tol)
-    data = as_data_matrix(data)
-    A = _cov(data.values, center=center)
+    A = _check_sample(A, n)
     base = solver_config if solver_config is not None else SolverConfig(lam=0.0)
     path = _path_scores(
-        A,
-        grid,
-        base,
-        lambda res: ebic_score(res.precision, A, data.n, data.d, gamma, zero_tol),
+        A, grid, base, lambda res: ebic_score(res.precision, A, n, gamma, zero_tol)
     )
     scores = [(float(lam), float(s)) for lam, s in zip(grid.values, path)]
     return TuningResult(chosen_lambda=_pick_minimum(scores), scores=scores)

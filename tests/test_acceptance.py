@@ -191,8 +191,9 @@ def test_c05_testing_baseline():
     subset_ok = True
     for _ in range(replicates):
         data = rng.standard_normal((n, d))
-        holm = gs.testing_select(data, alpha=alpha, method="holm")
-        bonferroni = gs.testing_select(data, alpha=alpha, method="bonferroni")
+        A = gs.empirical_covariance(data)
+        holm = gs.testing_select(A, n, alpha=alpha, method="holm")
+        bonferroni = gs.testing_select(A, n, alpha=alpha, method="bonferroni")
         false_alarms += len(holm.edges) > 0
         subset_ok = subset_ok and bonferroni.edges.edges <= holm.edges.edges
     fwer = false_alarms / replicates
@@ -286,7 +287,7 @@ def test_c08_tuning_plumbing():
         + edges * math.log(n)
         + 4.0 * gamma * edges * math.log(d)
     )
-    ebic_gap = abs(gs.ebic_score(K, A5, n, d, gamma) - oracle)
+    ebic_gap = abs(gs.ebic_score(K, A5, n, gamma) - oracle)
 
     # exhaustive leave-one-out cross-validation on n = 6, d = 2
     values = rng.standard_normal((6, 2))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ggmselect as gs
-from ggmselect import robsel, simulation, tuning
+from ggmselect import cli, robsel, simulation, tuning
 from ggmselect.cli import build_parser, main
 from ggmselect.core import format_real, write_csv
 
@@ -41,6 +41,26 @@ def test_fit_writes_matrix_and_edges(tmp_path, sample_csv, capsys):
     assert precision.splitlines()[0] == "g0,g1,g2,g3,g4,g5"
     edges = (tmp_path / "fit.edges.csv").read_text(encoding="utf-8")
     assert edges.splitlines()[0] == "node_i,node_j,precision_value"
+
+
+def test_quoted_names_round_trip_through_the_fit_outputs(tmp_path, sample_csv):
+    # A header "a,b",c,d once gave a 4-name header over 3 columns.
+    names = ["a,b", 'say "hi"', "g2", "g3", "g4", "g5"]
+    lines = sample_csv.read_text(encoding="utf-8").splitlines()
+    quoted = tmp_path / "quoted.csv"
+    header = ",".join('"' + name.replace('"', '""') + '"' for name in names)
+    quoted.write_text("\n".join([header, *lines[1:]]) + "\n", encoding="utf-8")
+    for path, prefix in ((sample_csv, "plain"), (quoted, "quoted")):
+        assert run_cli(["fit", "-i", path, "--lambda", "0.05", "-o", tmp_path / prefix]) == 0
+    written = gs.load_data_csv(tmp_path / "quoted.precision.csv")
+    assert written.names() == names
+    expected = gs.load_data_csv(tmp_path / "plain.precision.csv").values
+    assert np.array_equal(written.values, expected)
+    rename = dict(zip([f"g{i}" for i in range(6)], names))
+    plain = cli._read_edge_list(tmp_path / "plain.edges.csv")
+    assert cli._read_edge_list(tmp_path / "quoted.edges.csv") == [
+        (rename[i], rename[j]) for i, j in plain
+    ]
 
 
 def test_fit_summary_reports_blocks_after_sweeps(tmp_path, sample_csv, capsys):

@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 
@@ -326,6 +327,16 @@ def test_atomic_writer_failure_keeps_the_target_and_no_temporary(tmp_path):
             raise RuntimeError("mid-write")
     assert target.read_bytes() == b"old,contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_write_csv_quotes_the_string_cells_csv_would_quote(tmp_path):
+    # Names may hold a comma, a quote or a line break; numbers never are quoted.
+    header = ["a,b", 'say "hi"', "line\nbreak", "plain"]
+    core.write_csv(tmp_path / "out.csv", header, [["x,y", 3, 0.5, None]])
+    text = (tmp_path / "out.csv").read_text(encoding="utf-8")
+    assert text == '"a,b","say ""hi""","line\nbreak",plain\n"x,y",3,0.5,\n'
+    with open(tmp_path / "out.csv", newline="", encoding="utf-8") as handle:
+        assert list(csv.reader(handle)) == [header, ["x,y", "3", "0.5", ""]]
 
 
 def test_symmetry_validation():

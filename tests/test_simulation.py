@@ -167,18 +167,19 @@ def test_sweep_cells_agree_with_public_selectors():
     for r in report.records:
         keys = (plan.seed, r.n, r.replicate)
         data = gs.sample_gaussian(truth, r.n, simulation._child_seed(*keys, 1))
+        A = gs.empirical_covariance(data)
         if r.method == "robsel":
             config = gs.RobselConfig(alpha=r.alpha, B=plan.B, seed=simulation._child_seed(*keys, 2))
             assert r.lam == gs.robsel_lambda(data, config).lam
         elif r.method in ("cv", "ebic"):
-            grid = gs.lambda_grid(gs.empirical_covariance(data), 5)
+            grid = gs.lambda_grid(A, 5)
             if r.method == "cv":
                 tuned = gs.cv_select(data, 3, grid, seed=simulation._child_seed(*keys, 3))
             else:
-                tuned = gs.ebic_select(data, grid)
+                tuned = gs.ebic_select(A, grid, r.n)
             assert r.lam == tuned.chosen_lambda
         else:
-            edges = gs.testing_select(data, r.alpha, method=r.method).edges
+            edges = gs.testing_select(A, r.n, r.alpha, method=r.method).edges
             scores = gs.metrics_from_confusion(gs.confusion(edges, truth.edges))
             assert (r.tpr, r.fpr) == (scores.tpr, scores.fpr)
         checked += 1

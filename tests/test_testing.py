@@ -6,7 +6,7 @@ from scipy.special import ndtr
 
 import ggmselect as gs
 from ggmselect import DegenerateCorrelationWarning, InvalidInputError, NotApplicableError
-from ggmselect import testing
+from ggmselect import core, testing
 
 from helpers import random_correlated_data, random_covariance
 
@@ -137,7 +137,7 @@ def test_pvalues_not_applicable_when_sample_too_small():
         gs.unadjusted_pvalues(np.eye(4), n=5)
     rng = np.random.default_rng(65)
     with pytest.raises(NotApplicableError):
-        gs.testing_select(rng.standard_normal((11, 10)), alpha=0.1)
+        gs.testing_select(gs.empirical_covariance(rng.standard_normal((11, 10))), 11, alpha=0.1)
 
 
 def test_pvalues_reject_a_correlation_outside_the_unit_interval():
@@ -227,39 +227,50 @@ def test_adjustment_input_validation():
 def test_testing_select_bonferroni_subset_of_holm():
     truth = gs.generate_precision(8, 0.2, seed=71)
     data = gs.sample_gaussian(truth, 150, seed=72)
-    holm = gs.testing_select(data, alpha=0.2, method="holm")
-    bonferroni = gs.testing_select(data, alpha=0.2, method="bonferroni")
+    A = gs.empirical_covariance(data)
+    holm = gs.testing_select(A, data.n, alpha=0.2, method="holm")
+    bonferroni = gs.testing_select(A, data.n, alpha=0.2, method="bonferroni")
     assert bonferroni.edges.edges <= holm.edges.edges
 
 
 def test_testing_select_single_hypothesis_methods_agree():
     rng = np.random.default_rng(73)
-    data = random_correlated_data(rng, 60, 2, strength=0.5)
+    A = gs.empirical_covariance(random_correlated_data(rng, 60, 2, strength=0.5))
     decisions = {
-        method: gs.testing_select(data, alpha=0.05, method=method).edges.edges
+        method: gs.testing_select(A, 60, alpha=0.05, method=method).edges.edges
         for method in ("holm", "bonferroni", "sidak")
     }
     values = list(decisions.values())
     assert values[0] == values[1] == values[2]
     # with one hypothesis the adjusted value equals the unadjusted one
-    pmatrix = gs.testing_select(data, alpha=0.05).diagnostics["pvalues"]
+    pmatrix = gs.testing_select(A, 60, alpha=0.05).diagnostics["pvalues"]
     assert pmatrix.adjusted[0] == pmatrix.unadjusted[0]
 
 
 def test_testing_select_reports_no_precision_matrix():
     rng = np.random.default_rng(74)
-    data = rng.standard_normal((80, 5))
-    result = gs.testing_select(data, alpha=0.1)
+    A = gs.empirical_covariance(rng.standard_normal((80, 5)))
+    result = gs.testing_select(A, 80, alpha=0.1)
     assert result.precision is None
     assert result.lam is None
     assert result.method == "holm"
 
 
+def test_testing_select_matches_its_steps_on_the_callers_covariance(monkeypatch):
+    data = gs.sample_gaussian(gs.generate_precision(8, 0.2, seed=76), 150, seed=77)
+    A = gs.empirical_covariance(data, center=False)
+    pvalues = gs.unadjusted_pvalues(gs.partial_correlations(A), data.n)
+    adjusted = gs.adjust_pvalues(pvalues, "holm")
+    monkeypatch.setattr(core, "_cov", lambda *args, **kwargs: pytest.fail("formed a covariance"))
+    result = gs.testing_select(A, data.n, alpha=0.2)
+    assert np.array_equal(result.diagnostics["pvalues"].adjusted, adjusted)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
 def test_testing_select_rejects_alpha_outside_the_unit_interval(alpha):
-    data = np.random.default_rng(75).standard_normal((40, 4))
+    A = gs.empirical_covariance(np.random.default_rng(75).standard_normal((40, 4)))
     with pytest.raises(InvalidInputError, match=r"alpha must be in \(0, 1\)"):
-        gs.testing_select(data, alpha=alpha)
+        gs.testing_select(A, 40, alpha=alpha)
 
 
 def test_rejections_keep_the_pairs_at_or_below_alpha():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ggmselect as gs
-from ggmselect import InvalidInputError, tuning
+from ggmselect import InvalidInputError, core, tuning
 from ggmselect.tuning import _pick_minimum
 
 from helpers import random_covariance
@@ -56,7 +56,7 @@ def test_grid_validation():
 
 def test_ebic_identity_case():
     n, d = 40, 6
-    score = gs.ebic_score(np.eye(d), np.eye(d), n=n, d=d, gamma=0.5)
+    score = gs.ebic_score(np.eye(d), np.eye(d), n=n, gamma=0.5)
     assert score == pytest.approx(n * d, rel=1e-12)
 
 
@@ -65,7 +65,7 @@ def test_ebic_gamma_zero_is_bic():
     A = random_covariance(rng, 5)
     K1 = gs.glasso(A, gs.SolverConfig(lam=0.05)).precision
     K2 = gs.glasso(A, gs.SolverConfig(lam=0.3)).precision
-    n, d = 60, 5
+    n = 60
 
     def loglik(K):
         sign, logdet = np.linalg.slogdet(K)
@@ -73,7 +73,7 @@ def test_ebic_gamma_zero_is_bic():
 
     delta_edges = len(gs.edges_from_precision(K1)) - len(gs.edges_from_precision(K2))
     expected_gap = -2 * (loglik(K1) - loglik(K2)) + delta_edges * math.log(n)
-    gap = gs.ebic_score(K1, A, n, d, 0.0) - gs.ebic_score(K2, A, n, d, 0.0)
+    gap = gs.ebic_score(K1, A, n, 0.0) - gs.ebic_score(K2, A, n, 0.0)
     assert gap == pytest.approx(expected_gap, rel=1e-10, abs=1e-10)
 
 
@@ -92,7 +92,7 @@ def test_ebic_matches_term_by_term_oracle():
         + edges * math.log(n)
         + 4.0 * gamma * edges * math.log(d)
     )
-    assert abs(gs.ebic_score(K, A, n, d, gamma) - expected) <= 1e-10
+    assert abs(gs.ebic_score(K, A, n, gamma) - expected) <= 1e-10
 
 
 def test_ebic_strictly_increasing_in_edge_count():
@@ -102,27 +102,30 @@ def test_ebic_strictly_increasing_in_edge_count():
     K[0, 1] = K[1, 0] = 5e-6
     K[2, 3] = K[3, 2] = 0.4
     A = np.eye(4)
-    sparse_count = gs.ebic_score(K, A, n=30, d=4, gamma=0.5, zero_tol=1e-4)
-    dense_count = gs.ebic_score(K, A, n=30, d=4, gamma=0.5, zero_tol=1e-8)
+    sparse_count = gs.ebic_score(K, A, n=30, gamma=0.5, zero_tol=1e-4)
+    dense_count = gs.ebic_score(K, A, n=30, gamma=0.5, zero_tol=1e-8)
     assert dense_count > sparse_count
 
 
 def test_ebic_validation():
     for gamma in (-0.5, math.nan, math.inf):
         with pytest.raises(InvalidInputError, match="gamma must be finite and >= 0"):
-            gs.ebic_score(np.eye(3), np.eye(3), n=30, d=3, gamma=gamma)
+            gs.ebic_score(np.eye(3), np.eye(3), n=30, gamma=gamma)
+    # d is the size of A: a 1 x 1 pair has no edge to score.
     for n, d in ((1, 3), (30, 1)):
         with pytest.raises(InvalidInputError, match="need n >= 2 and d >= 2"):
-            gs.ebic_score(np.eye(3), np.eye(3), n=n, d=d, gamma=0.5)
+            gs.ebic_score(np.eye(d), np.eye(d), n=n, gamma=0.5)
+    with pytest.raises(InvalidInputError, match="dimensions differ"):
+        gs.ebic_score(np.eye(2), np.eye(3), n=30, gamma=0.5)
     with pytest.raises(gs.SingularInputError):
-        gs.ebic_score(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), 30, 2, 0.5)
+        gs.ebic_score(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), 30, 0.5)
 
 
 def test_ebic_select_single_value_grid():
     rng = np.random.default_rng(85)
-    data = rng.standard_normal((40, 4))
+    A = gs.empirical_covariance(rng.standard_normal((40, 4)))
     grid = gs.LambdaGrid(values=np.array([0.2]), s_max=0.2)
-    result = gs.ebic_select(data, grid)
+    result = gs.ebic_select(A, grid, 40)
     assert result.chosen_lambda == 0.2
     assert len(result.scores) == 1
 
@@ -139,13 +142,60 @@ def test_ebic_select_single_value_grid():
 )
 def test_ebic_select_rejects_a_non_finite_setting_before_any_fit(monkeypatch, setting, message):
     # A NaN gamma gave empty scores and an infinite one picked s_max.
-    data = np.random.default_rng(87).standard_normal((40, 4))
-    grid = gs.lambda_grid(gs.empirical_covariance(data), 3)
+    A = gs.empirical_covariance(np.random.default_rng(87).standard_normal((40, 4)))
+    grid = gs.lambda_grid(A, 3)
     fits = []
     monkeypatch.setattr(tuning, "glasso", lambda *args, **kwargs: fits.append(args))
     with pytest.raises(InvalidInputError, match=message):
-        gs.ebic_select(data, grid, **setting)
+        gs.ebic_select(A, grid, 40, **setting)
     assert fits == []
+
+
+@pytest.mark.parametrize(
+    "A, n, message",
+    [
+        (np.eye(4), 1, "need n >= 2 and d >= 2, got n=1, d=4"),
+        (np.eye(1), 40, "need n >= 2 and d >= 2, got n=40, d=1"),
+        (np.ones((4, 3)), 40, "covariance matrix must be square"),
+        (np.triu(np.ones((4, 4))), 40, "covariance matrix is not symmetric"),
+    ],
+    ids=["one-sample", "one-variable", "not-square", "not-symmetric"],
+)
+def test_ebic_select_checks_the_sample_before_any_fit(monkeypatch, A, n, message):
+    # n was first checked inside ebic_score, after the first fit.
+    grid = gs.LambdaGrid(values=np.array([0.2]), s_max=0.2)
+    fits = []
+    monkeypatch.setattr(tuning, "glasso", lambda *args, **kwargs: fits.append(args))
+    with pytest.raises(InvalidInputError, match=message):
+        gs.ebic_select(A, grid, n)
+    assert fits == []
+
+
+def test_ebic_select_forms_no_covariance_of_its_own(monkeypatch):
+    data = gs.sample_gaussian(gs.generate_precision(6, 0.3, seed=88), 60, seed=89)
+    A = gs.empirical_covariance(data)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return core._cov(*args, **kwargs)
+
+    monkeypatch.setattr(tuning, "_cov", counted)
+    result = gs.ebic_select(A, gs.lambda_grid(A, 4), data.n)
+    assert calls == []
+    assert len(result.scores) == 4
+
+
+def test_ebic_score_reads_d_from_the_covariance():
+    # With d passed on its own, d = 300 scored these 3 x 3 matrices 59.8992.
+    K = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.3], [0.0, 0.3, 2.0]])
+    A = np.linalg.inv(K)
+    n, gamma = 30, 0.5
+    loglik = 0.5 * n * (np.linalg.slogdet(K)[1] - np.sum(K * A))
+    expected = -2.0 * loglik + 2 * math.log(n) + 4.0 * gamma * 2 * math.log(3)
+    score = gs.ebic_score(K, A, n, gamma)
+    assert score == pytest.approx(expected, rel=1e-12)
+    assert score == pytest.approx(41.4785, abs=1e-4)
 
 
 def test_loglik_maximized_at_unpenalized_mle():
@@ -251,8 +301,8 @@ def test_ebic_gamma_monotone_edge_counts():
         data = gs.sample_gaussian(truth, 400, seed=400 + seed)
         A = gs.empirical_covariance(data)
         grid = gs.lambda_grid(A, 10)
-        sparse = gs.ebic_select(data, grid, gamma=1.0)
-        dense = gs.ebic_select(data, grid, gamma=0.0)
+        sparse = gs.ebic_select(A, grid, data.n, gamma=1.0)
+        dense = gs.ebic_select(A, grid, data.n, gamma=0.0)
         k_sparse = len(
             gs.edges_from_precision(
                 gs.glasso(A, gs.SolverConfig(lam=sparse.chosen_lambda)).precision
@@ -314,7 +364,7 @@ def test_ebic_prefers_larger_lambda_for_sparser_truth():
             data = gs.sample_gaussian(truth, 400, seed=1100 + seed)
             A = gs.empirical_covariance(data)
             grid = gs.lambda_grid(A, 10)
-            chosen = gs.ebic_select(data, grid, gamma=0.5).chosen_lambda
+            chosen = gs.ebic_select(A, grid, data.n, gamma=0.5).chosen_lambda
             position[name] = chosen / grid.s_max
         if position["sparse"] >= position["dense"]:
             hits += 1

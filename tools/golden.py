@@ -45,6 +45,12 @@ FIXTURES = {
     "ref.csv": "V1,V2\nV2,V3\nV3,V1\nV4,V7\nV5,V6\nV8,V2\n",
     # The header of an edge list after a blank line.
     "blank.edges.csv": "\nnode_i,node_j,precision_value\nV1,V2,0.5\nV2,V3,-0.25\n",
+    # Quoted names holding a comma and a quote.
+    "quoted.csv": (
+        '"a,b",c,"say ""d"""\n0.00,0.30,-0.09\n-0.89,-1.17,-1.69\n0.06,1.39,0.34\n'
+        "-0.62,-0.01,0.35\n0.11,-0.85,-0.54\n0.70,-0.79,-0.93\n-1.90,-2.81,-3.53\n"
+        "-0.24,-1.46,-0.60\n"
+    ),
 }
 
 # (name, arguments after ``python -m ggmselect``), run in this order.
@@ -70,6 +76,7 @@ MATRIX = (
     ("tune-ebic", ["tune", "-i", "s100.data.csv", "--method", "ebic", "-o", "ue"]),
     ("tune-cv", ["--threads", "2", "tune", "-i", "s8.data.csv", "--method", "cv", "--seed", "1", "-o", "uc"]),
     ("fit8", ["fit", "-i", "s8.data.csv", "--lambda", "0.1", "-o", "f8"]),
+    ("fit-quoted-names", ["fit", "-i", "quoted.csv", "--lambda", "0.05", "-o", "q"]),
     ("fit50-standardize", ["fit", "-i", "s50.data.csv", "--lambda", "0.05", "--standardize", "-o", "f50"]),
     ("evaluate", ["evaluate", "--edges", "r8.edges.csv", "--reference", "ref.csv", "-o", "e8"]),
     ("evaluate-data", ["evaluate", "--edges", "f8.edges.csv", "--reference", "ref.csv",
