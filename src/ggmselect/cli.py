@@ -24,7 +24,6 @@ from .core import (
     atomic_text_writer,  # kept bound: bench/tracing.py wraps cli.atomic_text_writer
     empirical_covariance,
     edges_from_precision,
-    format_real,
     load_data_csv,
     write_csv,
 )
@@ -103,22 +102,18 @@ def _load_input(args) -> DataMatrix:
     return data
 
 
-def _fit_and_write(args, data, A, lam, *preamble) -> None:
-    """Fit the graphical lasso to ``A`` at ``lam``; once it succeeds, print
-    the ``preamble`` lines and the fit summary and write the precision matrix
-    and the edge list."""
+def _fit_and_write(args, data, A, lam, preamble: dict) -> None:
+    """Fit the graphical lasso to ``A`` at ``lam``; once it succeeds, report
+    the ``preamble`` fields and the fit summary and write the precision
+    matrix and the edge list."""
     config = SolverConfig.from_settings(args, lam)
     _check_zero_tol(args.zero_tol)
     result = glasso(A, config)
     edges = edges_from_precision(result.precision, args.zero_tol)
-    for line in preamble:
-        print(line)
-    print(f"objective = {format_real(result.objective)}")
-    print(f"kkt_residual = {format_real(result.kkt_residual)}")
-    print(f"sweeps_used = {result.sweeps_used}")
-    print(f"blocks = {len(result.block_sizes)} (largest {result.block_sizes[0]})")
-    print(f"converged = {str(result.converged).lower()}")
-    print(f"edges = {len(edges)}")
+    _report({**preamble, "objective": result.objective, "kkt_residual": result.kkt_residual,
+             "sweeps_used": result.sweeps_used,
+             "blocks": f"{len(result.block_sizes)} (largest {result.block_sizes[0]})",
+             "converged": result.converged, "edges": len(edges)})
     names = data.names()
     write_csv(f"{args.output_prefix}.precision.csv", names, result.precision)
     _write_edges(args.output_prefix, names, edges, result.precision)
@@ -127,7 +122,7 @@ def _fit_and_write(args, data, A, lam, *preamble) -> None:
 def _cmd_fit(args) -> int:
     data = _load_input(args)
     A = empirical_covariance(data, center=not args.no_center)
-    _fit_and_write(args, data, A, args.lam, f"lambda = {format_real(args.lam)}")
+    _fit_and_write(args, data, A, args.lam, {"lambda": args.lam})
     return 0
 
 
@@ -145,15 +140,14 @@ def _cmd_robsel(args) -> int:
     selection = robsel_lambda(
         data, config, center=not args.no_center, threads=args.threads
     )
-    print(f"alpha = {format_real(args.alpha)}")
-    print(f"lambda = {format_real(selection.lam)}")
+    _report({"alpha": args.alpha, "lambda": selection.lam})
     write_csv(
         f"{args.output_prefix}.lambda.csv",
         ("alpha", "lambda", "order_index", "bootstrap"),
         [(args.alpha, selection.lam, selection.order_index, args.bootstrap)],
     )
     if not args.no_fit:
-        _fit_and_write(args, data, A, selection.lam)
+        _fit_and_write(args, data, A, selection.lam, {})
     return 0
 
 
@@ -161,9 +155,7 @@ def _cmd_test(args) -> int:
     data = _load_input(args)
     A = empirical_covariance(data, center=not args.no_center)
     result = testing_select(A, data.n, alpha=args.alpha, method=args.method)
-    print(f"alpha = {format_real(args.alpha)}")
-    print(f"method = {args.method}")
-    print(f"edges = {len(result.edges)}")
+    _report({"alpha": args.alpha, "method": args.method, "edges": len(result.edges)})
     names = data.names()
     write_csv(f"{args.output_prefix}.pvalues.csv", names, result.diagnostics["pvalues"].as_matrix())
     _write_edges(args.output_prefix, names, result.edges)
@@ -183,7 +175,6 @@ def _cmd_tune(args) -> int:
             solver_config=base,
             seed=args.seed,
             center=not args.no_center,
-            threads=args.threads,
         )
     else:
         tuned = ebic_select(A, grid, data.n, gamma=args.gamma, solver_config=base,
@@ -199,7 +190,7 @@ def _cmd_tune(args) -> int:
 def _cmd_simulate(args) -> int:
     truth = generate_precision(args.d, args.edge_prob, args.seed)
     data = sample_gaussian(truth, args.n, args.seed)
-    print(f"true_edges = {len(truth.edges)}")
+    _report({"true_edges": len(truth.edges)})
     names = data.names()
     write_csv(f"{args.output_prefix}.omega.csv", names, truth.omega)
     write_csv(f"{args.output_prefix}.data.csv", names, data.values)
@@ -213,7 +204,7 @@ def _cmd_experiment(args) -> int:
     report = run_experiment(plan, threads=args.threads, record_timings=args.timings, log=log)
     write_replicates_csv(report, f"{args.output_prefix}.replicates.csv")
     write_summary_csv(report, f"{args.output_prefix}.summary.csv")
-    print(f"replicate_rows = {len(report.records)}")
+    _report({"replicate_rows": len(report.records)})
     return 0
 
 
@@ -300,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help=f"parallel task cap (default: ${THREADS_ENV_VAR} or 1); results "
-        "do not depend on this value",
+        help=f"pool threads (default: ${THREADS_ENV_VAR} or 1) for robsel's bootstrap "
+        "tiles and experiment's replicates; tune's cross-validation folds hold the "
+        "GIL and run on one thread; results do not depend on this value",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

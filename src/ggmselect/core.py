@@ -363,9 +363,10 @@ def _quote(text: str) -> str:
 
 def _cells(row) -> list[str]:
     """The CSV cells of ``row``: strings through ``_quote``, integers as
-    they are, and every other value through ``format_real``."""
-    # A number, the common cell, pays a single isinstance test.
-    return [(_quote(v) if isinstance(v, str) else str(v)) if isinstance(v, (str, int))
+    they are, a bool as ``true`` or ``false``, and every other value through
+    ``format_real``."""
+    # A number, the common cell, pays one isinstance test; lower() maps True to true.
+    return [(_quote(v) if isinstance(v, str) else str(v).lower()) if isinstance(v, (str, int))
             else format_real(v) for v in row]
 
 

@@ -47,12 +47,15 @@ class MetricRecord:
     jaccard: float
 
 
+def _check_same_nodes(a: EdgeSet, b: EdgeSet) -> None:
+    """The rule for every pair of edge sets compared: one node count."""
+    if a.d != b.d:
+        raise InvalidInputError(f"edge sets are over different node counts: {a.d} vs {b.d}")
+
+
 def confusion(estimated: EdgeSet, truth: EdgeSet) -> ConfusionCounts:
     """Confusion counts of an estimated edge set against the true one."""
-    if estimated.d != truth.d:
-        raise InvalidInputError(
-            f"edge sets are over different node counts: {estimated.d} vs {truth.d}"
-        )
+    _check_same_nodes(estimated, truth)
     tp = len(estimated.edges & truth.edges)
     fp = len(estimated.edges - truth.edges)
     fn = len(truth.edges - estimated.edges)
@@ -80,10 +83,7 @@ def metrics_from_confusion(counts: ConfusionCounts) -> MetricRecord:
 
 def jaccard(a: EdgeSet, b: EdgeSet) -> float:
     """Jaccard similarity |a & b| / |a | b|, defined as 1 for two empty sets."""
-    if a.d != b.d:
-        raise InvalidInputError(
-            f"edge sets are over different node counts: {a.d} vs {b.d}"
-        )
+    _check_same_nodes(a, b)
     union = len(a.edges | b.edges)
     if union == 0:
         return 1.0
@@ -105,10 +105,7 @@ def validated_edge_report(estimated: EdgeSet, reference: EdgeSet) -> EdgeValidat
     ``proportion`` is validated/estimated, or None when no edges were
     estimated.
     """
-    if estimated.d != reference.d:
-        raise InvalidInputError(
-            f"edge sets are over different node counts: {estimated.d} vs {reference.d}"
-        )
+    _check_same_nodes(estimated, reference)
     total = len(estimated.edges)
     validated = len(estimated.edges & reference.edges)
     proportion = validated / total if total > 0 else None

@@ -184,8 +184,8 @@ def sample_gaussian(truth: GroundTruth, n: int, seed: int) -> DataMatrix:
     fixed seed yields a reproducible stream whose first rows agree across
     different n.
     """
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    if n < 2:
+        raise InvalidInputError(f"n must be >= 2, got {n}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     d = truth.sigma.shape[0]

@@ -485,7 +485,9 @@ def _column_sweeps(A, config: SolverConfig, init):
     # Fixed-point diagonal of W: A_ii + lambda when the diagonal is penalized
     # (sign(K_ii) = +1 for PD K), A_ii otherwise.
     if init is not None:
-        W = _pd_inverse(init, "warm start is not positive definite")
+        # glasso has Cholesky-checked the whole warm start, and a principal
+        # submatrix of a PD matrix is PD.
+        W = symmetrize(np.linalg.inv(init))
         target_diag = np.diag(A) + (lam if config.penalize_diagonal else 0.0)
         W[np.diag_indices(d)] = target_diag
         precision = init.copy()

@@ -64,7 +64,11 @@ def partial_correlations(A) -> np.ndarray:
     Inverts A directly (a strictly positive definite input is required) and
     returns R with R_ij = -O_ij / sqrt(O_ii * O_jj) and unit diagonal.
     """
-    A = check_square_symmetric(A, "covariance matrix")
+    return _partial_correlations(check_square_symmetric(A, "covariance matrix"))
+
+
+def _partial_correlations(A) -> np.ndarray:
+    """``partial_correlations`` of an already checked, exactly symmetric A."""
     omega = _pd_inverse(A, "covariance matrix is singular or not positive definite")
     scale = np.sqrt(np.diag(omega))
     R = -omega / np.outer(scale, scale)
@@ -189,8 +193,10 @@ def testing_select(A, n: int, alpha: float, method: str = "holm") -> SelectionRe
     _check_alpha(alpha)
     A = check_square_symmetric(A, "covariance matrix")
     d = A.shape[0]
+    if d < 2:
+        raise InvalidInputError(f"testing needs d >= 2 variables, got d={d}")
     _check_testable(n, d)  # before the inversion, which is singular at n <= d
-    pvalues = unadjusted_pvalues(partial_correlations(A), n)
+    pvalues = unadjusted_pvalues(_partial_correlations(A), n)
     adjusted = adjust_pvalues(pvalues, method)
     return SelectionResult(
         method=method,

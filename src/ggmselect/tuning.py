@@ -31,7 +31,6 @@ from .core import (
     check_square_symmetric,
     edges_from_precision,
     max_offdiag_abs,
-    parallel_map,
     symmetrize,
 )
 from .errors import InvalidInputError
@@ -130,7 +129,6 @@ def cv_select(
     solver_config: SolverConfig | None = None,
     seed: int = 0,
     center: bool = True,
-    threads: int = 1,
 ) -> TuningResult:
     """k-fold cross-validation over the penalty grid.
 
@@ -160,17 +158,15 @@ def cv_select(
             )
 
     values = data.values
-
-    def one_fold(part):
+    per_fold = []
+    for part in parts:
         mask = np.ones(n, dtype=bool)
         mask[part] = False
         A_train = _cov(values[mask], center=center)
         A_val = _cov(values[part], center=True)
-        return _path_scores(
+        per_fold.append(_path_scores(
             A_train, grid, base, lambda res: _validation_loss(res.precision, A_val)
-        )
-
-    per_fold = parallel_map(one_fold, parts, threads)
+        ))
 
     mean_scores = np.mean(np.asarray(per_fold), axis=0)
     scores = [(float(lam), float(s)) for lam, s in zip(grid.values, mean_scores)]

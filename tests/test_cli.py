@@ -73,6 +73,15 @@ def test_fit_summary_reports_blocks_after_sweeps(tmp_path, sample_csv, capsys):
         assert lines[at + 1] == f"blocks = {len(sizes)} (largest {sizes[0]})"
 
 
+def test_simulate_one_row_is_usage_error(tmp_path, capsys):
+    args = ["simulate", "--d", "5", "--edge-prob", "0.3", "--n", "1", "-o", tmp_path / "sim"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: InvalidInputError: n must be >= 2, got 1\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_input_error_names_the_file_line(tmp_path, capsys):
     path = tmp_path / "data.csv"
     path.write_text("x,y\n\n1,2\n\n3,oops\n", encoding="utf-8")

@@ -339,6 +339,12 @@ def test_write_csv_quotes_the_string_cells_csv_would_quote(tmp_path):
         assert list(csv.reader(handle)) == [header, ["x,y", "3", "0.5", ""]]
 
 
+def test_write_csv_writes_a_bool_as_true_or_false(tmp_path):
+    core.write_csv(tmp_path / "out.csv", ["flag", "other", "count"], [[True, False, 7]])
+    text = (tmp_path / "out.csv").read_text(encoding="utf-8")
+    assert text == "flag,other,count\ntrue,false,7\n"
+
+
 def test_symmetry_validation():
     asym = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(InvalidInputError, match="symmetric"):

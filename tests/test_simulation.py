@@ -55,6 +55,13 @@ def test_negative_seed_is_rejected_before_sampling():
         gs.sample_gaussian(truth, 10, seed=-2)
 
 
+def test_sampling_needs_two_rows():
+    truth = gs.generate_precision(5, 0.3, seed=0)
+    with pytest.raises(InvalidInputError, match="n must be >= 2, got 1"):
+        gs.sample_gaussian(truth, 1, seed=0)
+    assert gs.sample_gaussian(truth, 2, seed=0).n == 2
+
+
 def test_sampling_determinism_and_prefix():
     truth = gs.generate_precision(6, 0.2, seed=1)
     first = gs.sample_gaussian(truth, 7, seed=9)

@@ -266,6 +266,26 @@ def test_testing_select_matches_its_steps_on_the_callers_covariance(monkeypatch)
     assert np.array_equal(result.diagnostics["pvalues"].adjusted, adjusted)
 
 
+def test_testing_select_checks_the_covariance_once(monkeypatch):
+    A = gs.empirical_covariance(np.random.default_rng(78).standard_normal((40, 4)))
+    checked = []
+
+    def counting_check(matrix, name="matrix"):
+        checked.append(name)
+        return core.check_square_symmetric(matrix, name)
+
+    monkeypatch.setattr(testing, "check_square_symmetric", counting_check)
+    gs.testing_select(A, 40, alpha=0.1)
+    assert checked.count("covariance matrix") == 1
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_testing_select_rejects_a_single_variable(n):
+    # n = 2 would fail the n > d + 1 rule: the d rule comes first.
+    with pytest.raises(InvalidInputError, match=r"testing needs d >= 2 variables, got d=1"):
+        gs.testing_select(np.eye(1), n, 0.1)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
 def test_testing_select_rejects_alpha_outside_the_unit_interval(alpha):
     A = gs.empirical_covariance(np.random.default_rng(75).standard_normal((40, 4)))

@@ -244,13 +244,13 @@ def test_cv_matches_exhaustive_leave_one_out():
         assert score == pytest.approx(expected, abs=1e-7)
 
 
-def test_cv_deterministic_given_seed_and_threads():
+def test_cv_deterministic_given_seed():
     rng = np.random.default_rng(88)
     data = rng.standard_normal((40, 5))
     A = gs.empirical_covariance(data)
     grid = gs.lambda_grid(A, 5)
-    first = gs.cv_select(data, 4, grid, seed=5, threads=1)
-    second = gs.cv_select(data, 4, grid, seed=5, threads=3)
+    first = gs.cv_select(data, 4, grid, seed=5)
+    second = gs.cv_select(data, 4, grid, seed=5)
     assert first.chosen_lambda == second.chosen_lambda
     assert first.scores == second.scores
     assert np.array_equal(first.fold_assignments, second.fold_assignments)

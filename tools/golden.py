@@ -90,6 +90,7 @@ MATRIX = (
     ("bad-lambda", ["fit", "-i", "s8.data.csv", "--lambda", "-1", "-o", "bad2"]),
     ("bad-threads", ["--threads", "0", "fit", "-i", "s8.data.csv", "--lambda", "0.1", "-o", "bad3"]),
     ("bad-folds", ["tune", "-i", "s8.data.csv", "--method", "cv", "--folds", "1", "-o", "bad4"]),
+    ("bad-n", ["simulate", "--d", "5", "--edge-prob", "0.3", "--n", "1", "-o", "bad6"]),
     ("bad-zero-tol", ["fit", "-i", "s8.data.csv", "--lambda", "0.1", "--zero-tol", "-1", "-o", "bad5"]),
     ("nonfinite-kkt-tol", ["fit", "-i", "s8.data.csv", "--lambda", "0.1", "--kkt-tol", "inf", "-o", "nf1"]),
     ("nonfinite-zero-tol", ["fit", "-i", "s8.data.csv", "--lambda", "0.1", "--zero-tol", "nan", "-o", "nf2"]),
