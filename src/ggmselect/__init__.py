@@ -60,10 +60,7 @@ from .solver import SolverConfig, SolverResult, glasso, kkt_residual, objective_
 from .testing import (
     PValueMatrix,
     adjust_pvalues,
-    bonferroni_adjust,
-    holm_adjust,
     partial_correlations,
-    sidak_adjust,
     testing_select,
     unadjusted_pvalues,
 )
@@ -104,7 +101,6 @@ __all__ = [
     "TuningResult",
     "UnmatchedNodeError",
     "adjust_pvalues",
-    "bonferroni_adjust",
     "bootstrap_rwp_samples",
     "confusion",
     "cv_select",
@@ -114,7 +110,6 @@ __all__ = [
     "empirical_covariance",
     "generate_precision",
     "glasso",
-    "holm_adjust",
     "jaccard",
     "kkt_residual",
     "lambda_grid",
@@ -128,7 +123,6 @@ __all__ = [
     "robsel_lambda",
     "run_experiment",
     "sample_gaussian",
-    "sidak_adjust",
     "testing_select",
     "unadjusted_pvalues",
     "validated_edge_report",

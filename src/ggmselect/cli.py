@@ -1,9 +1,10 @@
 """Command-line interface: data ingestion, method dispatch, experiment
 execution, and result emission.
 
-All subcommands are deterministic given --seed, independent of --threads,
-and write output files atomically (write-then-rename). Real numbers are
-printed with 12 significant digits so reruns are diff-stable.
+All subcommands are deterministic given --seed and, while NumPy's BLAS runs
+on one thread, independent of --threads; they write output files atomically
+(write-then-rename). Real numbers are printed with 12 significant digits so
+reruns on one BLAS thread are diff-stable.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ import warnings
 from dataclasses import asdict
 
 from .core import (
-    DEFAULT_ZERO_TOL,
     DataMatrix,
     _cells,
-    _check_zero_tol,
     _warn,
     atomic_text_writer,  # kept bound: bench/tracing.py wraps cli.atomic_text_writer
     empirical_covariance,
@@ -107,9 +106,8 @@ def _fit_and_write(args, data, A, lam, preamble: dict) -> None:
     the ``preamble`` fields and the fit summary and write the precision
     matrix and the edge list."""
     config = SolverConfig.from_settings(args, lam)
-    _check_zero_tol(args.zero_tol)
     result = glasso(A, config)
-    edges = edges_from_precision(result.precision, args.zero_tol)
+    edges = edges_from_precision(result.precision, config.zero_tol)
     _report({**preamble, "objective": result.objective, "kkt_residual": result.kkt_residual,
              "sweeps_used": result.sweeps_used,
              "blocks": f"{len(result.block_sizes)} (largest {result.block_sizes[0]})",
@@ -135,7 +133,6 @@ def _cmd_robsel(args) -> int:
         # picks is valid, and so is 0.
         A = empirical_covariance(data, center=not args.no_center)
         SolverConfig.from_settings(args, 0.0)
-        _check_zero_tol(args.zero_tol)
         _check_variances(A, args.penalize_diagonal)
     selection = robsel_lambda(
         data, config, center=not args.no_center, threads=args.threads
@@ -177,8 +174,7 @@ def _cmd_tune(args) -> int:
             center=not args.no_center,
         )
     else:
-        tuned = ebic_select(A, grid, data.n, gamma=args.gamma, solver_config=base,
-                            zero_tol=args.zero_tol)
+        tuned = ebic_select(A, grid, data.n, gamma=args.gamma, solver_config=base)
     write_csv(f"{args.output_prefix}.scores.csv", ("lambda", "score"), tuned.scores)
     _report(
         {"method": args.method, "chosen_lambda": tuned.chosen_lambda},
@@ -273,7 +269,7 @@ def _add_solver_options(parser):
     parser.add_argument(
         "--zero-tol",
         type=float,
-        default=DEFAULT_ZERO_TOL,
+        default=SolverConfig.zero_tol,
         help="absolute threshold for edge extraction",
     )
 
@@ -293,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"pool threads (default: ${THREADS_ENV_VAR} or 1) for robsel's bootstrap "
         "tiles and experiment's replicates; tune's cross-validation folds hold the "
-        "GIL and run on one thread; results do not depend on this value",
+        "GIL and run on one thread; while BLAS runs on one thread, results do "
+        "not depend on this value",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -311,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=RobselConfig.B,
         help="bootstrap replicates B; memory is the B x n resample counts, "
-        "2 bytes each below n = 65536, plus one pair tile's buffers per "
-        "thread, about B x 5 KB; the loop holds no centered copy of the data",
+        "1 byte each below n = 256, 2 below n = 65536, else 4, plus one pair "
+        "tile's buffers per thread, about B x 5 KB; the loop holds no centered "
+        "copy of the data",
     )
     p.add_argument("--seed", type=int, default=RobselConfig.seed)
     p.add_argument(

@@ -18,11 +18,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .core import (
-    DEFAULT_ZERO_TOL,
     DataMatrix,
     EdgeSet,
     _check_seed,
-    _check_zero_tol,
     _cov,
     _warn,
     edges_from_precision,
@@ -86,7 +84,7 @@ class ExperimentPlan:
     penalize_diagonal: bool = SolverConfig.penalize_diagonal
     kkt_tol: float = SolverConfig.kkt_tol
     max_sweeps: int = SolverConfig.max_sweeps
-    zero_tol: float = DEFAULT_ZERO_TOL
+    zero_tol: float = SolverConfig.zero_tol
     folds: int = DEFAULT_FOLDS
     gamma: float = DEFAULT_GAMMA
     grid_size: int = DEFAULT_GRID_SIZE
@@ -114,7 +112,6 @@ class ExperimentPlan:
             RobselConfig(alpha, self.B, self.seed)
         SolverConfig.from_settings(self, 0.0)
         _check_tuning(self.folds, self.gamma, self.grid_size)
-        _check_zero_tol(self.zero_tol)
 
 
 def _check_truth(d: int, edge_prob: float) -> None:
@@ -313,8 +310,7 @@ def _select(method, data, A, plan, keys) -> list:
             data, folds=plan.folds, grid=grid, solver_config=base, seed=_child_seed(*keys, 3)
         )
     else:
-        tuned = ebic_select(A, grid, data.n, gamma=plan.gamma, solver_config=base,
-                            zero_tol=plan.zero_tol)
+        tuned = ebic_select(A, grid, data.n, gamma=plan.gamma, solver_config=base)
     return [(None, tuned.chosen_lambda, None)]
 
 
@@ -346,8 +342,9 @@ def _run_replicate(plan, truth, n, replicate, record_timings) -> list:
             start = time.perf_counter()
             if edges is None:
                 try:
-                    fit = glasso(A, SolverConfig.from_settings(plan, lam))
-                    edges = edges_from_precision(fit.precision, plan.zero_tol)
+                    config = SolverConfig.from_settings(plan, lam)
+                    fit = glasso(A, config)
+                    edges = edges_from_precision(fit.precision, config.zero_tol)
                 except Exception as exc:
                     fail(method, alpha, exc)
                     continue

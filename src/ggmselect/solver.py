@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import check_square_symmetric, symmetrize
+from .core import DEFAULT_ZERO_TOL, _check_zero_tol, check_square_symmetric, symmetrize
 from .errors import InvalidInputError, SingularInputError
 
 
@@ -149,18 +149,21 @@ def _segment_search(Q, b, lam, start, end):
 
 @dataclass
 class SolverConfig:
-    """Parameters of one graphical lasso solve.
+    """Parameters of one graphical lasso fit and of the graph read from it.
 
     lam : penalty level, >= 0.
     penalize_diagonal : include diagonal entries in the l1 penalty.
     kkt_tol : finite max-norm subgradient violation (> 0) accepted as converged.
     max_sweeps : cap on full column sweeps.
+    zero_tol : edge threshold, finite and >= 0: the fit's graph holds the
+        pairs with |K_ij| > zero_tol (``edges_from_precision``).
     """
 
     lam: float
     penalize_diagonal: bool = True
     kkt_tol: float = 1e-6
     max_sweeps: int = 500
+    zero_tol: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0:
@@ -169,6 +172,7 @@ class SolverConfig:
             raise InvalidInputError(f"kkt_tol must be finite and positive, got {self.kkt_tol}")
         if self.max_sweeps < 1:
             raise InvalidInputError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        _check_zero_tol(self.zero_tol)
 
     @classmethod
     def from_settings(cls, settings, lam: float) -> SolverConfig:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EdgeSet, SelectionResult, _check_alpha, check_square_symmetric, symmetrize
+from .core import EdgeSet, SelectionResult, _check_alpha, check_square_symmetric
 from .errors import (
     DegenerateCorrelationWarning,
     InvalidInputError,
@@ -68,12 +68,13 @@ def partial_correlations(A) -> np.ndarray:
 
 
 def _partial_correlations(A) -> np.ndarray:
-    """``partial_correlations`` of an already checked, exactly symmetric A."""
+    """``partial_correlations`` of an already checked, exactly symmetric A.
+    R is exactly symmetric too, as omega and the outer product of its scales are."""
     omega = _pd_inverse(A, "covariance matrix is singular or not positive definite")
     scale = np.sqrt(np.diag(omega))
     R = -omega / np.outer(scale, scale)
     np.fill_diagonal(R, 1.0)
-    return symmetrize(R)
+    return R
 
 
 def _check_testable(n: int, d: int) -> None:
@@ -94,8 +95,13 @@ def unadjusted_pvalues(R, n: int) -> np.ndarray:
     exactly +-1 maps to a p-value of 0 with a DegenerateCorrelationWarning.
     """
     R = check_square_symmetric(R, "partial correlation matrix")
+    _check_testable(n, R.shape[0])
+    return _pvalues(R, n)
+
+
+def _pvalues(R, n: int) -> np.ndarray:
+    """``unadjusted_pvalues`` of an exactly symmetric R with n > d + 1."""
     d = R.shape[0]
-    _check_testable(n, d)
     rows, cols = np.triu_indices(d, k=1)
     r = R[rows, cols]
     if np.any(np.abs(r) > 1.0 + 1e-12):
@@ -127,13 +133,9 @@ def _check_unit_interval(pvals) -> np.ndarray:
     return pvals
 
 
-def holm_adjust(pvals) -> np.ndarray:
-    """Holm step-down adjusted p-values, in the original input order.
-
-    With p_(1) <= ... <= p_(m) the sorted values, the adjusted value at sorted
-    position a is max_{b<=a} min((m - b + 1) * p_(b), 1).
-    """
-    pvals = _check_unit_interval(pvals)
+def _holm(pvals) -> np.ndarray:
+    """Holm step-down: with p_(1) <= ... <= p_(m) the sorted values, the
+    adjusted value at sorted position a is max_{b<=a} min((m - b + 1) * p_(b), 1)."""
     m = pvals.size
     order = np.argsort(pvals, kind="stable")
     stepdown = np.minimum((m - np.arange(m)) * pvals[order], 1.0)
@@ -143,36 +145,32 @@ def holm_adjust(pvals) -> np.ndarray:
     return out
 
 
-def bonferroni_adjust(pvals) -> np.ndarray:
-    """Bonferroni adjusted p-values min(m * p, 1), in input order."""
-    pvals = _check_unit_interval(pvals)
+def _bonferroni(pvals) -> np.ndarray:
+    """Bonferroni: min(m * p, 1)."""
     return np.minimum(pvals.size * pvals, 1.0)
 
 
-def sidak_adjust(pvals) -> np.ndarray:
-    """Sidak adjusted p-values 1 - (1 - p)^m, in input order."""
-    pvals = _check_unit_interval(pvals)
+def _sidak(pvals) -> np.ndarray:
+    """Sidak: 1 - (1 - p)^m."""
     # expm1/log1p keep tiny p-values from underflowing below their input.
     with np.errstate(divide="ignore"):
         adjusted = -np.expm1(pvals.size * np.log1p(-pvals))
     return np.minimum(adjusted, 1.0)
 
 
-_ADJUSTERS = {
-    "holm": holm_adjust,
-    "bonferroni": bonferroni_adjust,
-    "sidak": sidak_adjust,
-}
+_ADJUSTERS = {"holm": _holm, "bonferroni": _bonferroni, "sidak": _sidak}
 ADJUSTMENT_METHODS = tuple(_ADJUSTERS)
 
 
 def adjust_pvalues(pvals, method: str = "holm") -> np.ndarray:
-    """Dispatch to one of the supported adjustment methods."""
+    """Family-wise adjusted p-values of the flat vector ``pvals`` in [0, 1],
+    in input order, by one of ``ADJUSTMENT_METHODS``: Holm's step-down,
+    Bonferroni's min(m * p, 1) or Sidak's 1 - (1 - p)^m over the m values."""
     if method not in _ADJUSTERS:
         raise InvalidInputError(
             f"unknown adjustment method {method!r}; expected one of {ADJUSTMENT_METHODS}"
         )
-    return _ADJUSTERS[method](pvals)
+    return _ADJUSTERS[method](_check_unit_interval(pvals))
 
 
 def _rejections(adjusted, d: int, alpha: float) -> EdgeSet:
@@ -196,7 +194,7 @@ def testing_select(A, n: int, alpha: float, method: str = "holm") -> SelectionRe
     if d < 2:
         raise InvalidInputError(f"testing needs d >= 2 variables, got d={d}")
     _check_testable(n, d)  # before the inversion, which is singular at n <= d
-    pvalues = unadjusted_pvalues(_partial_correlations(A), n)
+    pvalues = _pvalues(_partial_correlations(A), n)
     adjusted = adjust_pvalues(pvalues, method)
     return SelectionResult(
         method=method,

@@ -25,7 +25,6 @@ import numpy as np
 from .core import (
     DEFAULT_ZERO_TOL,
     _check_seed,
-    _check_zero_tol,
     _cov,
     as_data_matrix,
     check_square_symmetric,
@@ -206,19 +205,20 @@ def ebic_score(precision, A, n: int, gamma: float, zero_tol: float = DEFAULT_ZER
 
 def ebic_select(
     A, grid: LambdaGrid, n: int, *, gamma: float = DEFAULT_GAMMA,
-    solver_config: SolverConfig | None = None, zero_tol: float = DEFAULT_ZERO_TOL,
+    solver_config: SolverConfig | None = None,
 ) -> TuningResult:
     """Fit the full grid (warm-started, descending) to the covariance ``A``
-    of ``n`` samples and minimize the EBIC.
+    of ``n`` samples and minimize the EBIC, counting the edges of each fit at
+    the solver configuration's ``zero_tol``.
 
-    ``gamma``, ``zero_tol``, ``A`` and ``n`` are checked before the first fit.
+    ``gamma``, ``A`` and ``n`` are checked before the first fit, and the
+    solver settings when their ``SolverConfig`` is made.
     """
     _check_tuning(gamma=gamma)
-    _check_zero_tol(zero_tol)
     A = _check_sample(A, n)
     base = solver_config if solver_config is not None else SolverConfig(lam=0.0)
     path = _path_scores(
-        A, grid, base, lambda res: ebic_score(res.precision, A, n, gamma, zero_tol)
+        A, grid, base, lambda res: ebic_score(res.precision, A, n, gamma, base.zero_tol)
     )
     scores = [(float(lam), float(s)) for lam, s in zip(grid.values, path)]
     return TuningResult(chosen_lambda=_pick_minimum(scores), scores=scores)

@@ -203,7 +203,7 @@ def test_c05_testing_baseline():
     for _ in range(100):
         pvals = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 40)))
         oracle_ok = oracle_ok and np.array_equal(
-            gs.holm_adjust(pvals), stepdown_oracle(pvals)
+            gs.adjust_pvalues(pvals, "holm"), stepdown_oracle(pvals)
         )
 
     ok = fwer <= bound and oracle_ok and subset_ok

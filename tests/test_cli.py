@@ -379,24 +379,29 @@ def test_negative_seed_is_usage_error(tmp_path, sample_csv, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "flag, value, message",
+    "method, flag, value, message",
     [
-        ("--gamma", "-1", "gamma must be finite and >= 0, got -1.0"),
-        ("--zero-tol", "-1", "zero_tol must be finite and nonnegative, got -1.0"),
-        ("--gamma", "nan", "gamma must be finite and >= 0, got nan"),
-        ("--gamma", "inf", "gamma must be finite and >= 0, got inf"),
-        ("--zero-tol", "nan", "zero_tol must be finite and nonnegative, got nan"),
-        ("--kkt-tol", "inf", "kkt_tol must be finite and positive, got inf"),
+        ("ebic", "--gamma", "-1", "gamma must be finite and >= 0, got -1.0"),
+        ("ebic", "--zero-tol", "-1", "zero_tol must be finite and nonnegative, got -1.0"),
+        ("ebic", "--gamma", "nan", "gamma must be finite and >= 0, got nan"),
+        ("ebic", "--gamma", "inf", "gamma must be finite and >= 0, got inf"),
+        ("ebic", "--zero-tol", "nan", "zero_tol must be finite and nonnegative, got nan"),
+        ("ebic", "--kkt-tol", "inf", "kkt_tol must be finite and positive, got inf"),
+        # Cross-validation reads no edges, but --zero-tol is a solver setting
+        # and is checked as every command that declares it checks it.
+        ("cv", "--zero-tol", "-1", "zero_tol must be finite and nonnegative, got -1.0"),
+        ("cv", "--zero-tol", "nan", "zero_tol must be finite and nonnegative, got nan"),
     ],
-    ids=["gamma", "zero-tol", "gamma-nan", "gamma-inf", "zero-tol-nan", "kkt-tol-inf"],
+    ids=["gamma", "zero-tol", "gamma-nan", "gamma-inf", "zero-tol-nan", "kkt-tol-inf",
+         "cv-zero-tol", "cv-zero-tol-nan"],
 )
 def test_ebic_tune_rejects_a_bad_setting_before_any_fit(
-    tmp_path, sample_csv, capsys, monkeypatch, flag, value, message
+    tmp_path, sample_csv, capsys, monkeypatch, method, flag, value, message
 ):
     fits = []
     glasso = tuning.glasso
     monkeypatch.setattr(tuning, "glasso", lambda *args: fits.append(args) or glasso(*args))
-    args = ["tune", "-i", sample_csv, "--method", "ebic", flag, value, "-o", tmp_path / "out"]
+    args = ["tune", "-i", sample_csv, "--method", method, flag, value, "-o", tmp_path / "out"]
     assert run_cli(args) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: InvalidInputError: {message}\n"

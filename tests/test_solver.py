@@ -226,6 +226,10 @@ def test_config_validation():
             gs.SolverConfig(lam=0.1, kkt_tol=kkt_tol)
     with pytest.raises(InvalidInputError):
         gs.SolverConfig(lam=0.1, max_sweeps=0)
+    for zero_tol in (-1e-8, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="zero_tol must be finite and nonnegative"):
+            gs.SolverConfig(lam=0.1, zero_tol=zero_tol)
+    assert gs.SolverConfig(lam=0.1).zero_tol == gs.DEFAULT_ZERO_TOL
 
 
 def test_objective_requires_positive_definite_precision():

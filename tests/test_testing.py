@@ -156,38 +156,40 @@ def test_degenerate_correlation_warns_and_zeroes():
 
 
 def test_holm_hand_example():
-    adjusted = gs.holm_adjust([0.01, 0.02, 0.5])
+    adjusted = gs.adjust_pvalues([0.01, 0.02, 0.5], "holm")
     assert np.allclose(adjusted, [0.03, 0.04, 0.5], atol=1e-15)
 
 
 def test_holm_all_ones():
-    assert np.all(gs.holm_adjust([1.0, 1.0, 1.0, 1.0]) == 1.0)
+    assert np.all(gs.adjust_pvalues([1.0, 1.0, 1.0, 1.0], "holm") == 1.0)
 
 
 def test_holm_matches_stepdown_oracle_exactly():
     rng = np.random.default_rng(66)
     for _ in range(50):
         pvals = rng.uniform(0.0, 1.0, size=10)
-        assert np.array_equal(gs.holm_adjust(pvals), stepdown_oracle(pvals))
+        assert np.array_equal(gs.adjust_pvalues(pvals, "holm"), stepdown_oracle(pvals))
 
 
 def test_holm_permutation_equivariance():
     rng = np.random.default_rng(67)
     pvals = rng.uniform(0.0, 1.0, size=12)
     perm = rng.permutation(12)
-    assert np.array_equal(gs.holm_adjust(pvals)[perm], gs.holm_adjust(pvals[perm]))
+    assert np.array_equal(
+        gs.adjust_pvalues(pvals, "holm")[perm], gs.adjust_pvalues(pvals[perm], "holm")
+    )
 
 
 def test_holm_monotone_in_pvalue():
     rng = np.random.default_rng(68)
     pvals = rng.uniform(0.0, 1.0, size=15)
-    adjusted = gs.holm_adjust(pvals)
+    adjusted = gs.adjust_pvalues(pvals, "holm")
     order = np.argsort(pvals)
     assert np.all(np.diff(adjusted[order]) >= 0)
 
 
 def test_holm_ties_get_equal_adjustments():
-    adjusted = gs.holm_adjust([0.05, 0.2, 0.2, 0.7])
+    adjusted = gs.adjust_pvalues([0.05, 0.2, 0.2, 0.7], "holm")
     assert adjusted[1] == adjusted[2]
 
 
@@ -202,7 +204,7 @@ def test_adjusted_dominate_unadjusted():
 
 def test_sidak_does_not_underflow_tiny_pvalues():
     pvals = np.array([1e-300, 1e-18, 0.0, 1.0])
-    adjusted = gs.sidak_adjust(pvals)
+    adjusted = gs.adjust_pvalues(pvals, "sidak")
     assert np.all(adjusted >= pvals)
     assert adjusted[3] == 1.0
     assert adjusted[0] == pytest.approx(4e-300, rel=1e-10)
@@ -212,14 +214,14 @@ def test_bonferroni_dominates_holm():
     rng = np.random.default_rng(70)
     for _ in range(20):
         pvals = rng.uniform(0.0, 1.0, size=8)
-        assert np.all(gs.bonferroni_adjust(pvals) >= gs.holm_adjust(pvals))
+        assert np.all(gs.adjust_pvalues(pvals, "bonferroni") >= gs.adjust_pvalues(pvals, "holm"))
 
 
 def test_adjustment_input_validation():
     with pytest.raises(InvalidInputError):
-        gs.holm_adjust([0.5, 1.5])
+        gs.adjust_pvalues([0.5, 1.5], "holm")
     with pytest.raises(InvalidInputError):
-        gs.holm_adjust([-0.1])
+        gs.adjust_pvalues([-0.1], "holm")
     with pytest.raises(InvalidInputError):
         gs.adjust_pvalues([0.1], "unknown")
 
@@ -277,6 +279,7 @@ def test_testing_select_checks_the_covariance_once(monkeypatch):
     monkeypatch.setattr(testing, "check_square_symmetric", counting_check)
     gs.testing_select(A, 40, alpha=0.1)
     assert checked.count("covariance matrix") == 1
+    assert checked.count("partial correlation matrix") == 0
 
 
 @pytest.mark.parametrize("n", [2, 5])

@@ -131,23 +131,30 @@ def test_ebic_select_single_value_grid():
 
 
 @pytest.mark.parametrize(
-    "setting, message",
+    "settings, message",
     [
-        ({"gamma": math.nan}, "gamma must be finite and >= 0, got nan"),
-        ({"gamma": math.inf}, "gamma must be finite and >= 0, got inf"),
-        ({"zero_tol": math.nan}, "zero_tol must be finite and nonnegative, got nan"),
-        ({"zero_tol": math.inf}, "zero_tol must be finite and nonnegative, got inf"),
+        (lambda: {"gamma": math.nan}, "gamma must be finite and >= 0, got nan"),
+        (lambda: {"gamma": math.inf}, "gamma must be finite and >= 0, got inf"),
+        # The edge threshold is a solver setting, checked when its config is made.
+        (
+            lambda: {"solver_config": gs.SolverConfig(0.0, zero_tol=math.nan)},
+            "zero_tol must be finite and nonnegative, got nan",
+        ),
+        (
+            lambda: {"solver_config": gs.SolverConfig(0.0, zero_tol=math.inf)},
+            "zero_tol must be finite and nonnegative, got inf",
+        ),
     ],
     ids=["gamma-nan", "gamma-inf", "zero-tol-nan", "zero-tol-inf"],
 )
-def test_ebic_select_rejects_a_non_finite_setting_before_any_fit(monkeypatch, setting, message):
+def test_ebic_select_rejects_a_non_finite_setting_before_any_fit(monkeypatch, settings, message):
     # A NaN gamma gave empty scores and an infinite one picked s_max.
     A = gs.empirical_covariance(np.random.default_rng(87).standard_normal((40, 4)))
     grid = gs.lambda_grid(A, 3)
     fits = []
     monkeypatch.setattr(tuning, "glasso", lambda *args, **kwargs: fits.append(args))
     with pytest.raises(InvalidInputError, match=message):
-        gs.ebic_select(A, grid, 40, **setting)
+        gs.ebic_select(A, grid, 40, **settings())
     assert fits == []
 
 

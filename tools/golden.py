@@ -13,8 +13,9 @@ every command the diff compares the exit code, stdout, stderr (as a sorted
 multiset of lines, because pool threads interleave their lines) and every
 file the run leaves. The exit status is 0 when nothing differs, 1 otherwise.
 ``--out DIR`` keeps both runs under DIR/rev and DIR/work for inspection.
-Nothing is downloaded; the matrix takes about 11 s per tree on a 2-vCPU
-guest. Needs Python >= 3.11.4 (``tarfile``'s ``data`` filter).
+Nothing is downloaded; the matrix takes about 22 s per tree on a 2-vCPU
+guest, 10 s of it the headline sweep. Needs Python >= 3.11.4 (``tarfile``'s
+``data`` filter).
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ FIXTURES = {
     "nonfinite.cfg": (
         "d = 8\nedge_prob = 0.3\nsample_sizes = 60\nreplications = 2\n"
         "alphas = 0.1\nbootstrap = 30\nkkt_tol = inf\nzero_tol = nan\n"
+    ),
+    # The headline sweep: the plan of the acceptance tests' FWER fixture
+    # (criteria 3 and 6), whose replicate CSV the diff then checks bit for bit.
+    "headline.cfg": (
+        "d = 50\nedge_prob = 0.02\nsample_sizes = 800, 3200\nreplications = 100\n"
+        "alphas = 0.05, 0.1\nbootstrap = 200\nseed = 20250809\nmethods = robsel, holm\n"
     ),
     "ref.csv": "V1,V2\nV2,V3\nV3,V1\nV4,V7\nV5,V6\nV8,V2\n",
     # The header of an edge list after a blank line.
@@ -86,12 +93,14 @@ MATRIX = (
                              "--data", "s8.data.csv"]),
     ("experiment-t1", ["experiment", "--config", "six.cfg", "-o", "x1"]),
     ("experiment-t2", ["--threads", "2", "experiment", "--config", "six.cfg", "--verbose", "-o", "x2"]),
+    ("experiment-headline", ["--threads", "2", "experiment", "--config", "headline.cfg", "-o", "xh"]),
     ("bad-alpha", ["robsel", "-i", "s8.data.csv", "--alpha", "1.5", "-o", "bad1"]),
     ("bad-lambda", ["fit", "-i", "s8.data.csv", "--lambda", "-1", "-o", "bad2"]),
     ("bad-threads", ["--threads", "0", "fit", "-i", "s8.data.csv", "--lambda", "0.1", "-o", "bad3"]),
     ("bad-folds", ["tune", "-i", "s8.data.csv", "--method", "cv", "--folds", "1", "-o", "bad4"]),
     ("bad-n", ["simulate", "--d", "5", "--edge-prob", "0.3", "--n", "1", "-o", "bad6"]),
     ("bad-zero-tol", ["fit", "-i", "s8.data.csv", "--lambda", "0.1", "--zero-tol", "-1", "-o", "bad5"]),
+    ("bad-zero-tol-cv", ["tune", "-i", "s8.data.csv", "--method", "cv", "--zero-tol", "-1", "-o", "bad7"]),
     ("nonfinite-kkt-tol", ["fit", "-i", "s8.data.csv", "--lambda", "0.1", "--kkt-tol", "inf", "-o", "nf1"]),
     ("nonfinite-zero-tol", ["fit", "-i", "s8.data.csv", "--lambda", "0.1", "--zero-tol", "nan", "-o", "nf2"]),
     ("nonfinite-gamma-nan", ["tune", "-i", "s8.data.csv", "--method", "ebic", "--gamma", "nan", "-o", "nf3"]),
