@@ -14,7 +14,7 @@ import csv
 import os
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .core import (
     DataMatrix,
@@ -101,11 +101,10 @@ def _load_input(args) -> DataMatrix:
     return data
 
 
-def _fit_and_write(args, data, A, lam, preamble: dict) -> None:
-    """Fit the graphical lasso to ``A`` at ``lam``; once it succeeds, report
-    the ``preamble`` fields and the fit summary and write the precision
-    matrix and the edge list."""
-    config = SolverConfig.from_settings(args, lam)
+def _fit_and_write(args, data, A, config, preamble: dict) -> None:
+    """Fit the graphical lasso to ``A`` with ``config``; once it succeeds,
+    report the ``preamble`` fields and the fit summary and write the
+    precision matrix and the edge list."""
     result = glasso(A, config)
     edges = edges_from_precision(result.precision, config.zero_tol)
     _report({**preamble, "objective": result.objective, "kkt_residual": result.kkt_residual,
@@ -120,31 +119,33 @@ def _fit_and_write(args, data, A, lam, preamble: dict) -> None:
 def _cmd_fit(args) -> int:
     data = _load_input(args)
     A = empirical_covariance(data, center=not args.no_center)
-    _fit_and_write(args, data, A, args.lam, {"lambda": args.lam})
+    _fit_and_write(args, data, A, SolverConfig.from_settings(args, args.lam), {"lambda": args.lam})
     return 0
 
 
 def _cmd_robsel(args) -> int:
     data = _load_input(args)
-    config = RobselConfig(alpha=args.alpha, B=args.bootstrap, seed=args.seed)
+    config = RobselConfig(B=args.bootstrap, seed=args.seed)
     if not args.no_fit:
-        # The fit's rules are applied before the bootstrap, so that a fit
-        # bound to fail prints and writes nothing. Any lambda the bootstrap
-        # picks is valid, and so is 0.
+        # The fit's settings are checked at lambda 0 before the bootstrap, as
+        # any lambda it picks is valid. Nothing is printed or written until the
+        # fit at the picked lambda succeeds, so a failed fit leaves no output.
         A = empirical_covariance(data, center=not args.no_center)
-        SolverConfig.from_settings(args, 0.0)
+        solver_config = SolverConfig.from_settings(args, 0.0)
         _check_variances(A, args.penalize_diagonal)
     selection = robsel_lambda(
-        data, config, center=not args.no_center, threads=args.threads
+        data, args.alpha, config, center=not args.no_center, threads=args.threads
     )
-    _report({"alpha": args.alpha, "lambda": selection.lam})
+    preamble = {"alpha": args.alpha, "lambda": selection.lam}
+    if args.no_fit:
+        _report(preamble)
+    else:
+        _fit_and_write(args, data, A, replace(solver_config, lam=selection.lam), preamble)
     write_csv(
         f"{args.output_prefix}.lambda.csv",
         ("alpha", "lambda", "order_index", "bootstrap"),
         [(args.alpha, selection.lam, selection.order_index, args.bootstrap)],
     )
-    if not args.no_fit:
-        _fit_and_write(args, data, A, selection.lam, {})
     return 0
 
 

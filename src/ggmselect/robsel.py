@@ -26,17 +26,14 @@ from .errors import InvalidInputError
 
 @dataclass
 class RobselConfig:
-    """Bootstrap controls: confidence parameter alpha, replicate count B, seed.
+    """Bootstrap controls: replicate count B and seed. One bootstrap serves
+    every alpha, an argument of ``robsel_lambda``. Every replicate is formed
+    the way A is; see ``bootstrap_rwp_samples``."""
 
-    Every replicate is formed the way A is; see ``bootstrap_rwp_samples``.
-    """
-
-    alpha: float
     B: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
         if self.B < 1:
             raise InvalidInputError(f"bootstrap count must be >= 1, got {self.B}")
         _check_seed(self.seed)
@@ -62,6 +59,12 @@ def order_statistic_rank(B: int, alpha: float) -> int:
     nearest = round(target)
     rank = nearest if abs(target - nearest) <= 1e-9 else math.ceil(target)
     return min(max(int(rank), 1), B)
+
+
+def _order_statistic(samples, alpha: float) -> tuple[float, int]:
+    """(lambda, 0-based order index) of the sorted profile ``samples`` at alpha."""
+    index = order_statistic_rank(samples.size, alpha) - 1
+    return float(samples[index]), index
 
 
 #: Upper-triangle pairs (i <= j) per tile, the unit of parallel work.
@@ -147,18 +150,14 @@ def bootstrap_rwp_samples(data, config: RobselConfig, center: bool = True, threa
     return np.sort(np.max(maxima, axis=0))
 
 
-def robsel_lambda(data, config: RobselConfig, center: bool = True, threads: int = 1) -> RobselResult:
-    """Select the penalty level for a confidence parameter alpha.
+def robsel_lambda(data, alpha: float, config: RobselConfig, center: bool = True, threads: int = 1) -> RobselResult:
+    """Select the penalty level for a confidence parameter alpha in (0, 1).
 
     Draws B bootstrap resamples of the rows, computes each replicate's
     covariance profile value against the full-sample covariance, and returns
-    the order statistic at rank ceil((B + 1)(1 - alpha)).
+    the order statistic at rank ceil((B + 1)(1 - alpha)). Alpha is checked first.
     """
+    _check_alpha(alpha)
     samples = bootstrap_rwp_samples(data, config, center=center, threads=threads)
-    rank = order_statistic_rank(config.B, config.alpha)
-    return RobselResult(
-        lam=float(samples[rank - 1]),
-        rwp_samples=samples,
-        order_index=rank - 1,
-        alpha=config.alpha,
-    )
+    lam, index = _order_statistic(samples, alpha)
+    return RobselResult(lam=lam, rwp_samples=samples, order_index=index, alpha=alpha)

@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     DataMatrix,
     EdgeSet,
+    _check_alpha,
     _check_seed,
     _cov,
     _warn,
@@ -30,7 +31,7 @@ from .core import (
 )
 from .errors import GenerationError, InvalidInputError, NotApplicableError
 from .metrics import confusion, jaccard, metrics_from_confusion
-from .robsel import RobselConfig, bootstrap_rwp_samples, order_statistic_rank
+from .robsel import RobselConfig, _order_statistic, bootstrap_rwp_samples
 from .solver import SolverConfig, glasso
 from .testing import (
     ADJUSTMENT_METHODS,
@@ -109,7 +110,8 @@ class ExperimentPlan:
         # Each setting the library owns is checked with its owner's rule.
         _check_truth(self.d, self.edge_prob)
         for alpha in self.alphas:
-            RobselConfig(alpha, self.B, self.seed)
+            _check_alpha(alpha)
+        RobselConfig(self.B, self.seed)
         SolverConfig.from_settings(self, 0.0)
         _check_tuning(self.folds, self.gamma, self.grid_size)
 
@@ -291,12 +293,8 @@ def _select(method, data, A, plan, keys) -> list:
     """(alpha, lambda, edges or None) for each cell of ``method`` on one
     sample; a cell without edges is fitted by the caller at its lambda."""
     if method == "robsel":
-        config = RobselConfig(alpha=plan.alphas[0], B=plan.B, seed=_child_seed(*keys, 2))
-        samples = bootstrap_rwp_samples(data, config)
-        return [
-            (alpha, float(samples[order_statistic_rank(plan.B, alpha) - 1]), None)
-            for alpha in plan.alphas
-        ]
+        samples = bootstrap_rwp_samples(data, RobselConfig(plan.B, _child_seed(*keys, 2)))
+        return [(alpha, _order_statistic(samples, alpha)[0], None) for alpha in plan.alphas]
     if method in ADJUSTMENT_METHODS:
         # testing_select's steps on its (A, n), with one p-value matrix for every alpha.
         _check_testable(data.n, len(A))
@@ -466,7 +464,8 @@ def _parse_plan_value(key, raw, default):
 
 
 def load_experiment_config(path) -> ExperimentPlan:
-    """Parse a 'key = value' experiment plan file into an ExperimentPlan.
+    """Parse a 'key = value' experiment plan file, UTF-8 with or without a
+    byte-order mark, into an ExperimentPlan.
 
     Text from a '#' to the end of its line is a comment, and blank lines are
     ignored; lists are comma-separated. Each key is an ExperimentPlan field
@@ -476,7 +475,7 @@ def load_experiment_config(path) -> ExperimentPlan:
     defaults = _plan_defaults()
     values = dict(defaults)
     seen = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for ln, line in enumerate(handle, start=1):
             stripped = line.partition("#")[0].strip()
             if not stripped:

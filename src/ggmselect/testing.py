@@ -151,11 +151,11 @@ def _bonferroni(pvals) -> np.ndarray:
 
 
 def _sidak(pvals) -> np.ndarray:
-    """Sidak: 1 - (1 - p)^m."""
-    # expm1/log1p keep tiny p-values from underflowing below their input.
+    """Sidak: 1 - (1 - p)^m, clamped to [p, 1]."""
+    # expm1/log1p keep tiny p-values from underflowing; at m = 1 they can round one ulp below p.
     with np.errstate(divide="ignore"):
         adjusted = -np.expm1(pvals.size * np.log1p(-pvals))
-    return np.minimum(adjusted, 1.0)
+    return np.clip(adjusted, pvals, 1.0)
 
 
 _ADJUSTERS = {"holm": _holm, "bonferroni": _bonferroni, "sidak": _sidak}

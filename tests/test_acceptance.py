@@ -151,10 +151,8 @@ def test_c04_penalty_scaling():
         lams = {}
         for n in (400, 800, 1600, 3200):
             data = gs.sample_gaussian(truth, n, _child_seed(404, n, replicate, 1))
-            config = gs.RobselConfig(
-                alpha=0.1, B=100, seed=_child_seed(404, n, replicate, 2)
-            )
-            lams[n] = gs.robsel_lambda(data, config).lam
+            config = gs.RobselConfig(B=100, seed=_child_seed(404, n, replicate, 2))
+            lams[n] = gs.robsel_lambda(data, 0.1, config).lam
         ratios[400].append(lams[400] / lams[1600])
         ratios[800].append(lams[800] / lams[3200])
     medians = {n: float(np.median(vals)) for n, vals in ratios.items()}

@@ -254,7 +254,7 @@ def test_standardize_matches_the_library_on_standardized_data(tmp_path, sample_c
     data = gs.load_data_csv(sample_csv).standardized()
     lam = 0.1
     if command[0] == "robsel":
-        lam = gs.robsel_lambda(data, gs.RobselConfig(alpha=0.2, B=30, seed=4)).lam
+        lam = gs.robsel_lambda(data, 0.2, gs.RobselConfig(B=30, seed=4)).lam
     assert f"lambda = {format_real(lam)}" in out
     fit = gs.glasso(gs.empirical_covariance(data), gs.SolverConfig(lam=lam))
     write_csv(tmp_path / "expected.csv", data.names(), fit.precision)
@@ -443,6 +443,94 @@ def test_robsel_rejects_a_failing_fit_before_the_bootstrap(
     monkeypatch.undo()
     assert run_cli(["robsel", "-i", path, "--alpha", "0.1", "--bootstrap", "20", "-o", tmp_path / "ok"]) == 0
     assert run_cli([*args[:-2], "--no-fit", "-o", tmp_path / "nofit"]) == 0
+
+
+def test_robsel_on_constant_data_prints_and_writes_nothing(tmp_path, capsys):
+    # The bootstrap picks lambda 0 on constant data, where the fit fails. The
+    # selected lambda was once printed, and its lambda.csv written, before it.
+    path = tmp_path / "constant.csv"
+    path.write_text("a,b,c\n" + "1,2,3\n" * 6, encoding="utf-8")
+    args = ["robsel", "-i", path, "--alpha", "0.1", "--bootstrap", "20"]
+    assert run_cli([*args, "-o", tmp_path / "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: SingularInputError: lambda = 0 requires a strictly positive definite covariance\n"
+    )
+    assert captured.out == ""
+    assert list(tmp_path.glob("out.*")) == []
+    # Without a fit the selection is the whole output.
+    assert run_cli([*args, "--no-fit", "-o", tmp_path / "nofit"]) == 0
+    assert capsys.readouterr().out == "alpha = 0.1\nlambda = 0\n"
+    assert [p.name for p in tmp_path.glob("nofit.*")] == ["nofit.lambda.csv"]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--alpha", "0", "alpha must be in (0, 1), got 0.0"),
+        ("--alpha", "1", "alpha must be in (0, 1), got 1.0"),
+        ("--alpha", "nan", "alpha must be in (0, 1), got nan"),
+        ("--bootstrap", "0", "bootstrap count must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be nonnegative, got -1"),
+    ],
+    ids=["alpha-0", "alpha-1", "alpha-nan", "bootstrap", "seed"],
+)
+def test_robsel_rejects_a_bad_bootstrap_setting_before_the_bootstrap(
+    tmp_path, sample_csv, capsys, monkeypatch, flag, value, message
+):
+    boots = []
+    monkeypatch.setattr(robsel, "bootstrap_rwp_samples", lambda *args, **kwargs: boots.append(args))
+    settings = {"--alpha": "0.1", "--bootstrap": "20", "--seed": "0", flag: value}
+    args = ["robsel", "-i", sample_csv, *(s for item in settings.items() for s in item)]
+    for extra in ([], ["--no-fit"]):
+        assert run_cli([*args, *extra, "-o", tmp_path / "out"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: InvalidInputError: {message}\n"
+        assert captured.out == "" and boots == []
+        assert list(tmp_path.glob("out.*")) == []
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("alphas = 0.2, 1.5", "alpha must be in (0, 1), got 1.5"),
+        ("alphas = nan", "alpha must be in (0, 1), got nan"),
+        ("bootstrap = 0", "bootstrap count must be >= 1, got 0"),
+        ("seed = -1", "seed must be nonnegative, got -1"),
+    ],
+    ids=["alpha", "alpha-nan", "bootstrap", "seed"],
+)
+def test_experiment_plan_with_bad_robsel_setting_is_usage_error(tmp_path, capsys, line, message):
+    config = tmp_path / "plan.cfg"
+    config.write_text(
+        f"d = 6\nedge_prob = 0.3\nsample_sizes = 40\nreplications = 1\n{line}\n",
+        encoding="utf-8",
+    )
+    assert run_cli(["experiment", "--config", config, "-o", tmp_path / "s"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: InvalidInputError: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "s.replicates.csv").exists()
+
+
+def test_sidak_test_of_two_variables_decides_as_holm(tmp_path, capsys):
+    # With one hypothesis Sidak's 1 - (1 - p) once rounded one ulp below p on
+    # this file, and the p-value matrix rejected it: the command exited 2.
+    path = tmp_path / "two.csv"
+    rows = ("-0.04,-1.26 2.57,0.48 0.64,-0.21 0.06,0.34 0.20,-0.61 0.61,0.49 -0.12,-0.72 "
+            "-0.88,-1.01 0.28,-0.35 0.87,-0.89 0.73,0.03 -0.57,1.04")
+    path.write_text("a,b\n" + "\n".join(rows.split()) + "\n", encoding="utf-8")
+    for alpha in ("0.1", "0.5"):  # no edge, then the edge
+        outputs = {}
+        for method in ("sidak", "holm"):
+            prefix = tmp_path / f"{method}{alpha}"
+            assert run_cli(["test", "-i", path, "--alpha", alpha, "--method", method, "-o", prefix]) == 0
+            out = capsys.readouterr().out.replace(method, "METHOD")
+            outputs[method] = [out] + [
+                (tmp_path / f"{method}{alpha}.{suffix}").read_bytes()
+                for suffix in ("pvalues.csv", "edges.csv")
+            ]
+        assert outputs["sidak"] == outputs["holm"]
 
 
 def test_parser_defaults_match_the_experiment_plan():

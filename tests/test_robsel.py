@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ def test_order_statistic_rank_brute_force():
 
 def test_identical_rows_give_zero_lambda():
     data = np.tile([1.0, -2.0, 0.5], (20, 1))
-    result = gs.robsel_lambda(data, gs.RobselConfig(alpha=0.5, B=50, seed=1))
+    result = gs.robsel_lambda(data, 0.5, gs.RobselConfig(B=50, seed=1))
     assert result.lam == 0.0
     assert np.all(result.rwp_samples == 0.0)
 
@@ -44,9 +45,9 @@ def test_identical_rows_give_zero_lambda():
 def test_same_seed_reproduces_lambda_bitwise():
     rng = np.random.default_rng(32)
     data = rng.standard_normal((100, 5))
-    config = gs.RobselConfig(alpha=0.9, B=200, seed=7)
-    first = gs.robsel_lambda(data, config)
-    second = gs.robsel_lambda(data, config)
+    config = gs.RobselConfig(B=200, seed=7)
+    first = gs.robsel_lambda(data, 0.9, config)
+    second = gs.robsel_lambda(data, 0.9, config)
     assert first.lam == second.lam
     assert np.array_equal(first.rwp_samples, second.rwp_samples)
     assert first.order_index == gs.order_statistic_rank(200, 0.9) - 1
@@ -55,9 +56,9 @@ def test_same_seed_reproduces_lambda_bitwise():
 def test_parallel_bootstrap_is_bit_identical():
     rng = np.random.default_rng(33)
     data = rng.standard_normal((80, 4))
-    config = gs.RobselConfig(alpha=0.1, B=64, seed=9)
-    serial = gs.robsel_lambda(data, config, threads=1)
-    parallel = gs.robsel_lambda(data, config, threads=4)
+    config = gs.RobselConfig(B=64, seed=9)
+    serial = gs.robsel_lambda(data, 0.1, config, threads=1)
+    parallel = gs.robsel_lambda(data, 0.1, config, threads=4)
     assert np.array_equal(serial.rwp_samples, parallel.rwp_samples)
     assert serial.lam == parallel.lam
 
@@ -66,7 +67,7 @@ def test_lambda_nonincreasing_in_alpha():
     rng = np.random.default_rng(34)
     data = rng.standard_normal((60, 4))
     lams = [
-        gs.robsel_lambda(data, gs.RobselConfig(alpha=a, B=99, seed=3)).lam
+        gs.robsel_lambda(data, a, gs.RobselConfig(B=99, seed=3)).lam
         for a in (0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.99)
     ]
     assert all(a >= b for a, b in zip(lams, lams[1:]))
@@ -75,9 +76,9 @@ def test_lambda_nonincreasing_in_alpha():
 def test_scale_equivariance_power_of_two_exact():
     rng = np.random.default_rng(35)
     data = rng.standard_normal((50, 4))
-    config = gs.RobselConfig(alpha=0.2, B=80, seed=5)
-    base = gs.robsel_lambda(data, config)
-    scaled = gs.robsel_lambda(2.0 * data, config)
+    config = gs.RobselConfig(B=80, seed=5)
+    base = gs.robsel_lambda(data, 0.2, config)
+    scaled = gs.robsel_lambda(2.0 * data, 0.2, config)
     assert scaled.lam == 4.0 * base.lam
 
     A = gs.empirical_covariance(data)
@@ -93,9 +94,9 @@ def test_scale_equivariance_power_of_two_exact():
 def test_scale_equivariance_general_factor():
     rng = np.random.default_rng(36)
     data = rng.standard_normal((50, 3))
-    config = gs.RobselConfig(alpha=0.3, B=60, seed=6)
-    base = gs.robsel_lambda(data, config)
-    scaled = gs.robsel_lambda(1.7 * data, config)
+    config = gs.RobselConfig(B=60, seed=6)
+    base = gs.robsel_lambda(data, 0.3, config)
+    scaled = gs.robsel_lambda(1.7 * data, 0.3, config)
     assert scaled.lam == pytest.approx(1.7**2 * base.lam, rel=1e-12)
 
 
@@ -110,7 +111,7 @@ def test_uncentered_bootstrap_uses_raw_second_moments():
     for b in range(1, 31):
         sample = data[np.random.default_rng((seed, b)).integers(0, n, n)]
         oracle.append(np.abs(sample.T @ sample / n - A).max())
-    config = gs.RobselConfig(alpha=0.2, B=30, seed=seed)
+    config = gs.RobselConfig(B=30, seed=seed)
     samples = gs.bootstrap_rwp_samples(data, config, center=False)
     np.testing.assert_allclose(samples, np.sort(oracle), rtol=1e-12, atol=0)
 
@@ -136,7 +137,7 @@ SHAPES = pytest.mark.parametrize(
 def test_bootstrap_matches_per_replicate_reference(n, d, B, center):
     rng = np.random.default_rng(39)
     data = rng.exponential(1.0, size=(n, d)) + 2.0
-    config = gs.RobselConfig(alpha=0.2, B=B, seed=12)
+    config = gs.RobselConfig(B=B, seed=12)
     samples = gs.bootstrap_rwp_samples(data, config, center=center)
     expected = bootstrap_rwp_reference(data, config, center=center)
     assert samples.shape == (B,)
@@ -149,7 +150,7 @@ def test_full_sample_mean_centering_is_center_false_on_centered_data(n, d, B):
     # own, are the raw second moments of the data centered at its mean.
     rng = np.random.default_rng(39)
     data = rng.exponential(1.0, size=(n, d)) + 2.0
-    config = gs.RobselConfig(alpha=0.2, B=B, seed=12)
+    config = gs.RobselConfig(B=B, seed=12)
     samples = gs.bootstrap_rwp_samples(data - data.mean(axis=0), config, center=False)
     expected = bootstrap_rwp_reference(data, config, full_sample_mean=True)
     np.testing.assert_allclose(samples, expected, rtol=1e-12, atol=0)
@@ -161,7 +162,7 @@ def test_bootstrap_block_of_a_single_variable(center):
     # tile function itself.
     rng = np.random.default_rng(40)
     data = rng.standard_normal((50, 1)) + 3.0
-    config = gs.RobselConfig(alpha=0.2, B=40, seed=13)
+    config = gs.RobselConfig(B=40, seed=13)
     shift = data.mean(axis=0) if center else np.zeros(1)
     counts, means = robsel._resamples(data, shift, config.B, config.seed, center)
     pair = np.zeros(1, dtype=int)
@@ -185,7 +186,7 @@ def test_bootstrap_is_bit_identical_across_threads_over_several_blocks():
     rng = np.random.default_rng(41)
     for d, B in ((12, 250), (40, 7), (40, 250)):
         data = rng.standard_normal((150, d))
-        config = gs.RobselConfig(alpha=0.1, B=B, seed=14)
+        config = gs.RobselConfig(B=B, seed=14)
         serial = gs.bootstrap_rwp_samples(data, config, threads=1)
         for threads in (2, 3, 5):
             assert np.array_equal(serial, gs.bootstrap_rwp_samples(data, config, threads=threads))
@@ -201,7 +202,7 @@ def test_bootstrap_hands_the_pool_one_item_per_pair_tile(monkeypatch, B):
 
     monkeypatch.setattr(robsel, "parallel_map", spy)
     data = np.random.default_rng(43).standard_normal((60, 40))
-    gs.bootstrap_rwp_samples(data, gs.RobselConfig(alpha=0.1, B=B, seed=17), threads=4)
+    gs.bootstrap_rwp_samples(data, gs.RobselConfig(B=B, seed=17), threads=4)
     assert handed == [(4, 4)]
 
 
@@ -212,7 +213,7 @@ def test_shifting_each_row_chunk_equals_shifting_the_data_first(d, center, threa
     # n = 3201 leaves a last row chunk of one row.
     rng = np.random.default_rng(44)
     data = rng.exponential(1.0, size=(3201, d)) + 2.0
-    config = gs.RobselConfig(alpha=0.1, B=40, seed=18)
+    config = gs.RobselConfig(B=40, seed=18)
     samples = gs.bootstrap_rwp_samples(data, config, center=center, threads=threads)
     shifted = data - data.mean(axis=0) if center else data
     no_shift = np.zeros(d)
@@ -240,7 +241,7 @@ def test_bootstrap_working_set_stays_small():
     per_replicate = 2 * n + 8 * d + 3 * row
     data = np.random.default_rng(42).standard_normal((n, d))
     for B in (200, 1000):
-        config = gs.RobselConfig(alpha=0.1, B=B, seed=15)
+        config = gs.RobselConfig(B=B, seed=15)
         tracemalloc.start()
         try:
             gs.bootstrap_rwp_samples(data, config)
@@ -250,9 +251,9 @@ def test_bootstrap_working_set_stays_small():
         assert peak <= 1.1 * (fixed + B * per_replicate)
 
 
-def _robsel_then_fit(data, config):
+def _robsel_then_fit(data, alpha, config):
     """The robsel fit as the CLI runs it: select the penalty, then glasso."""
-    selection = gs.robsel_lambda(data, config)
+    selection = gs.robsel_lambda(data, alpha, config)
     fit = gs.glasso(gs.empirical_covariance(data), gs.SolverConfig(lam=selection.lam))
     return selection.lam, fit
 
@@ -272,8 +273,8 @@ def test_readme_library_quickstart_runs_as_written(capsys):
 def test_robsel_fit_monotone_alpha_composition():
     truth = gs.generate_precision(10, 0.1, seed=40)
     data = gs.sample_gaussian(truth, 200, seed=41)
-    small_lam, small = _robsel_then_fit(data, gs.RobselConfig(alpha=0.01, B=100, seed=8))
-    large_lam, _ = _robsel_then_fit(data, gs.RobselConfig(alpha=0.9, B=100, seed=8))
+    small_lam, small = _robsel_then_fit(data, 0.01, gs.RobselConfig(B=100, seed=8))
+    large_lam, _ = _robsel_then_fit(data, 0.9, gs.RobselConfig(B=100, seed=8))
     assert small_lam >= large_lam
     assert small.precision is not None
     assert small.converged
@@ -282,18 +283,26 @@ def test_robsel_fit_monotone_alpha_composition():
 def test_robsel_fit_degenerate_data_propagates_singularity():
     data = np.tile([0.0, 1.0], (10, 1))
     with pytest.raises(SingularInputError):
-        _robsel_then_fit(data, gs.RobselConfig(alpha=0.5, B=20, seed=1))
+        _robsel_then_fit(data, 0.5, gs.RobselConfig(B=20, seed=1))
 
 
 def test_config_validation():
+    assert [f.name for f in fields(gs.RobselConfig)] == ["B", "seed"]
     with pytest.raises(InvalidInputError):
-        gs.RobselConfig(alpha=0.0)
+        gs.RobselConfig(B=0)
     with pytest.raises(InvalidInputError):
-        gs.RobselConfig(alpha=1.0)
-    with pytest.raises(InvalidInputError):
-        gs.RobselConfig(alpha=0.5, B=0)
-    with pytest.raises(InvalidInputError):
-        gs.RobselConfig(alpha=0.5, seed=-1)
+        gs.RobselConfig(seed=-1)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
+def test_robsel_lambda_rejects_alpha_before_any_bootstrap(monkeypatch, alpha):
+    def no_bootstrap(*args, **kwargs):
+        raise AssertionError("the bootstrap ran")
+
+    monkeypatch.setattr(robsel, "bootstrap_rwp_samples", no_bootstrap)
+    data = np.random.default_rng(45).standard_normal((20, 3))
+    with pytest.raises(InvalidInputError, match=r"alpha must be in \(0, 1\)"):
+        gs.robsel_lambda(data, alpha, gs.RobselConfig(B=20, seed=1))
 
 
 def test_false_positive_control_monte_carlo():
@@ -303,8 +312,8 @@ def test_false_positive_control_monte_carlo():
     clean = 0
     for replicate in range(100):
         data = gs.sample_gaussian(truth, 1600, seed=1000 + replicate)
-        config = gs.RobselConfig(alpha=0.1, B=100, seed=2000 + replicate)
-        _, fit = _robsel_then_fit(data, config)
+        config = gs.RobselConfig(B=100, seed=2000 + replicate)
+        _, fit = _robsel_then_fit(data, 0.1, config)
         if not (gs.edges_from_precision(fit.precision).edges - truth.edges.edges):
             clean += 1
     assert clean >= 90

@@ -176,8 +176,8 @@ def test_sweep_cells_agree_with_public_selectors():
         data = gs.sample_gaussian(truth, r.n, simulation._child_seed(*keys, 1))
         A = gs.empirical_covariance(data)
         if r.method == "robsel":
-            config = gs.RobselConfig(alpha=r.alpha, B=plan.B, seed=simulation._child_seed(*keys, 2))
-            assert r.lam == gs.robsel_lambda(data, config).lam
+            config = gs.RobselConfig(B=plan.B, seed=simulation._child_seed(*keys, 2))
+            assert r.lam == gs.robsel_lambda(data, r.alpha, config).lam
         elif r.method in ("cv", "ebic"):
             grid = gs.lambda_grid(A, 5)
             if r.method == "cv":
@@ -407,6 +407,17 @@ def test_plan_config_parses_readme_example(tmp_path):
     assert uncommented.count("\n# ") == 1  # only the line that introduces them
     config.write_text(uncommented, encoding="utf-8")
     assert gs.load_experiment_config(config) == gs.ExperimentPlan(seed=7)
+
+
+def test_plan_config_reads_a_byte_order_mark(tmp_path):
+    # As every other reader does: a plan saved with a BOM once failed with
+    # "unknown key '\ufeffd' on line 1".
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text("d = 12\nseed = 3\n", encoding="utf-8")
+    marked.write_text("d = 12\nseed = 3\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert gs.load_experiment_config(marked) == gs.load_experiment_config(plain)
+    assert gs.load_experiment_config(marked) == gs.ExperimentPlan(d=12, seed=3)
 
 
 def test_plan_config_defaults(tmp_path):

@@ -210,6 +210,14 @@ def test_sidak_does_not_underflow_tiny_pvalues():
     assert adjusted[0] == pytest.approx(4e-300, rel=1e-10)
 
 
+def test_sidak_of_one_hypothesis_never_falls_below_p():
+    # At m = 1, -expm1(log1p(-p)) rounds one ulp below p for about 1% of p.
+    pvals = np.random.default_rng(74).uniform(0.0, 1.0, size=5000)
+    adjusted = np.array([gs.adjust_pvalues([p], "sidak")[0] for p in pvals])
+    assert np.all(adjusted >= pvals)
+    assert np.all(adjusted <= 1.0)
+
+
 def test_bonferroni_dominates_holm():
     rng = np.random.default_rng(70)
     for _ in range(20):

@@ -13,7 +13,7 @@ every command the diff compares the exit code, stdout, stderr (as a sorted
 multiset of lines, because pool threads interleave their lines) and every
 file the run leaves. The exit status is 0 when nothing differs, 1 otherwise.
 ``--out DIR`` keeps both runs under DIR/rev and DIR/work for inspection.
-Nothing is downloaded; the matrix takes about 22 s per tree on a 2-vCPU
+Nothing is downloaded; the matrix takes about 20 s per tree on a 2-vCPU
 guest, 10 s of it the headline sweep. Needs Python >= 3.11.4 (``tarfile``'s
 ``data`` filter).
 """
@@ -49,6 +49,11 @@ FIXTURES = {
         "d = 50\nedge_prob = 0.02\nsample_sizes = 800, 3200\nreplications = 100\n"
         "alphas = 0.05, 0.1\nbootstrap = 200\nseed = 20250809\nmethods = robsel, holm\n"
     ),
+    # A plan saved with a byte-order mark.
+    "bom.cfg": (
+        "\ufeffd = 6\nedge_prob = 0.3\nsample_sizes = 40\nreplications = 2\n"
+        "alphas = 0.1, 0.3\nbootstrap = 20\nseed = 4\n"
+    ),
     "ref.csv": "V1,V2\nV2,V3\nV3,V1\nV4,V7\nV5,V6\nV8,V2\n",
     # The header of an edge list after a blank line.
     "blank.edges.csv": "\nnode_i,node_j,precision_value\nV1,V2,0.5\nV2,V3,-0.25\n",
@@ -58,6 +63,14 @@ FIXTURES = {
         "-0.62,-0.01,0.35\n0.11,-0.85,-0.54\n0.70,-0.79,-0.93\n-1.90,-2.81,-3.53\n"
         "-0.24,-1.46,-0.60\n"
     ),
+    # Two variables, one hypothesis, whose Sidak adjustment of 1 - (1 - p)
+    # once rounded below p.
+    "two.csv": (
+        "a,b\n-0.04,-1.26\n2.57,0.48\n0.64,-0.21\n0.06,0.34\n0.20,-0.61\n0.61,0.49\n"
+        "-0.12,-0.72\n-0.88,-1.01\n0.28,-0.35\n0.87,-0.89\n0.73,0.03\n-0.57,1.04\n"
+    ),
+    # Constant columns: the bootstrap picks lambda 0, where the fit fails.
+    "constant.csv": "a,b,c\n" + "1,2,3\n" * 6,
 }
 
 # (name, arguments after ``python -m ggmselect``), run in this order.
@@ -80,6 +93,7 @@ MATRIX = (
     ("test-bonferroni", ["test", "-i", "s50.data.csv", "--alpha", "0.1", "--method", "bonferroni", "-o", "tb"]),
     ("test-sidak", ["test", "-i", "s8.data.csv", "--alpha", "0.2", "--method", "sidak", "-o", "ts"]),
     ("test-small-n", ["test", "-i", "s30.data.csv", "--alpha", "0.1", "-o", "tn"]),
+    ("test-sidak-two", ["test", "-i", "two.csv", "--alpha", "0.5", "--method", "sidak", "-o", "ts2"]),
     ("tune-ebic", ["tune", "-i", "s100.data.csv", "--method", "ebic", "-o", "ue"]),
     ("tune-cv", ["--threads", "2", "tune", "-i", "s8.data.csv", "--method", "cv", "--seed", "1", "-o", "uc"]),
     ("fit8", ["fit", "-i", "s8.data.csv", "--lambda", "0.1", "-o", "f8"]),
@@ -94,7 +108,9 @@ MATRIX = (
     ("experiment-t1", ["experiment", "--config", "six.cfg", "-o", "x1"]),
     ("experiment-t2", ["--threads", "2", "experiment", "--config", "six.cfg", "--verbose", "-o", "x2"]),
     ("experiment-headline", ["--threads", "2", "experiment", "--config", "headline.cfg", "-o", "xh"]),
+    ("experiment-bom", ["experiment", "--config", "bom.cfg", "-o", "xb"]),
     ("bad-alpha", ["robsel", "-i", "s8.data.csv", "--alpha", "1.5", "-o", "bad1"]),
+    ("robsel-constant", ["robsel", "-i", "constant.csv", "--alpha", "0.1", "-o", "rc"]),
     ("bad-lambda", ["fit", "-i", "s8.data.csv", "--lambda", "-1", "-o", "bad2"]),
     ("bad-threads", ["--threads", "0", "fit", "-i", "s8.data.csv", "--lambda", "0.1", "-o", "bad3"]),
     ("bad-folds", ["tune", "-i", "s8.data.csv", "--method", "cv", "--folds", "1", "-o", "bad4"]),
