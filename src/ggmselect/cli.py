@@ -126,12 +126,13 @@ def _cmd_fit(args) -> int:
 def _cmd_robsel(args) -> int:
     data = _load_input(args)
     config = RobselConfig(B=args.bootstrap, seed=args.seed)
+    # The solver options are checked at lambda 0 before the bootstrap, with or
+    # without --no-fit, as any lambda it picks is valid. Nothing is printed or
+    # written until the fit at the picked lambda succeeds, so a failed fit
+    # leaves no output.
+    solver_config = SolverConfig.from_settings(args, 0.0)
     if not args.no_fit:
-        # The fit's settings are checked at lambda 0 before the bootstrap, as
-        # any lambda it picks is valid. Nothing is printed or written until the
-        # fit at the picked lambda succeeds, so a failed fit leaves no output.
         A = empirical_covariance(data, center=not args.no_center)
-        solver_config = SolverConfig.from_settings(args, 0.0)
         _check_variances(A, args.penalize_diagonal)
     selection = robsel_lambda(
         data, args.alpha, config, center=not args.no_center, threads=args.threads

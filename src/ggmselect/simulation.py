@@ -280,12 +280,13 @@ def _child_seed(*keys) -> int:
     return int(np.random.SeedSequence(list(keys)).generate_state(1, dtype=np.uint64)[0])
 
 
-def _cells(plan) -> list:
-    """The (method, alpha) cells of one replicate, in report order."""
+def _blank_rows(method, n, replicate, alphas) -> list:
+    """Rows of ``method`` without metrics, one per alpha in ``alphas`` (a
+    tuning method has one, at alpha None): cells that do not apply at this n,
+    or whose selection, fit or replicate failed."""
     return [
-        (method, alpha)
-        for method in plan.methods
-        for alpha in ([None] if method in TUNING_METHODS else plan.alphas)
+        ReplicateRecord(method, n, alpha, replicate)
+        for alpha in ([None] if method in TUNING_METHODS else alphas)
     ]
 
 
@@ -317,23 +318,17 @@ def _run_replicate(plan, truth, n, replicate, record_timings) -> list:
     keys = (plan.seed, n, replicate)
     data = sample_gaussian(truth, n, _child_seed(*keys, 1))
     A = _cov(data.values)
-
-    def fail(method, alpha, exc):
-        _warn(
-            f"{method} failed at (n={n}, r={replicate}"
-            f"{'' if alpha is None else f', alpha={alpha}'}): {exc}"
-        )
-
-    # (method, alpha) -> (edges, lambda or None, runtime)
-    outcomes: dict[tuple, tuple] = {}
-    for method in [m for m in KNOWN_METHODS if m in plan.methods]:
+    holm_edges = {}  # alpha -> Holm's edges, read by the robsel row at that alpha
+    records = []
+    # robsel runs last, so that Holm's edges exist when its rows are built.
+    for method in sorted(plan.methods, key=lambda m: m == "robsel"):
         start = time.perf_counter()
         try:
             cells = _select(method, data, A, plan, keys)
-        except NotApplicableError:
-            continue  # emitted as not-applicable cells
-        except Exception as exc:
-            fail(method, None, exc)
+        except Exception as exc:  # a method that does not apply stays silent
+            if not isinstance(exc, NotApplicableError):
+                _warn(f"{method} failed at (n={n}, r={replicate}): {exc}")
+            records += _blank_rows(method, n, replicate, plan.alphas)
             continue
         select_share = (time.perf_counter() - start) / len(cells)
         for alpha, lam, edges in cells:
@@ -344,34 +339,31 @@ def _run_replicate(plan, truth, n, replicate, record_timings) -> list:
                     fit = glasso(A, config)
                     edges = edges_from_precision(fit.precision, config.zero_tol)
                 except Exception as exc:
-                    fail(method, alpha, exc)
+                    where = "" if alpha is None else f", alpha={alpha}"
+                    _warn(f"{method} failed at (n={n}, r={replicate}{where}): {exc}")
+                    records += _blank_rows(method, n, replicate, [alpha])
                     continue
-            outcomes[(method, alpha)] = (edges, lam, select_share + time.perf_counter() - start)
-
-    records = []
-    for method, alpha in _cells(plan):
-        if (method, alpha) not in outcomes:
-            records.append(ReplicateRecord(method, n, alpha, replicate))
-            continue
-        edges, lam, runtime = outcomes[(method, alpha)]
-        scores = metrics_from_confusion(confusion(edges, truth.edges))
-        holm = outcomes.get(("holm", alpha)) if method == "robsel" else None
-        records.append(
-            ReplicateRecord(
-                method,
-                n,
-                alpha,
-                replicate,
-                fwer_indicator=scores.fwer_indicator,
-                tpr=scores.tpr,
-                fpr=scores.fpr,
-                mcc=scores.mcc,
-                jaccard_vs_truth=scores.jaccard,
-                jaccard_robsel_holm=None if holm is None else jaccard(edges, holm[0]),
-                lam=lam,
-                runtime_seconds=runtime if record_timings else None,
+            runtime = select_share + time.perf_counter() - start
+            if method == "holm":
+                holm_edges[alpha] = edges
+            scores = metrics_from_confusion(confusion(edges, truth.edges))
+            paired = holm_edges.get(alpha) if method == "robsel" else None
+            records.append(
+                ReplicateRecord(
+                    method,
+                    n,
+                    alpha,
+                    replicate,
+                    fwer_indicator=scores.fwer_indicator,
+                    tpr=scores.tpr,
+                    fpr=scores.fpr,
+                    mcc=scores.mcc,
+                    jaccard_vs_truth=scores.jaccard,
+                    jaccard_robsel_holm=None if paired is None else jaccard(edges, paired),
+                    lam=lam,
+                    runtime_seconds=runtime if record_timings else None,
+                )
             )
-        )
     return records
 
 
@@ -397,10 +389,7 @@ def run_experiment(
             records = _run_replicate(plan, truth, n, replicate, record_timings)
         except Exception as exc:  # record the failed cell, keep sweeping
             _warn(f"replicate (n={n}, r={replicate}) failed: {exc}")
-            records = [
-                ReplicateRecord(method, n, alpha, replicate)
-                for method, alpha in _cells(plan)
-            ]
+            records = [r for m in plan.methods for r in _blank_rows(m, n, replicate, plan.alphas)]
         if log is not None:
             log(f"cell n={n} replicate={replicate}: {len(records)} rows")
         return records

@@ -438,11 +438,36 @@ def test_robsel_rejects_a_failing_fit_before_the_bootstrap(
     assert captured.err == f"error: {message}\n"
     assert captured.out == "" and boots == []
     assert list(tmp_path.glob("out.*")) == []
-    # The same data fit with the default settings, and without a fit the
-    # fit's settings are not used.
+    # The same data fit with the default settings. Without a fit the variances
+    # are not checked, but a bad solver option still is.
     monkeypatch.undo()
     assert run_cli(["robsel", "-i", path, "--alpha", "0.1", "--bootstrap", "20", "-o", tmp_path / "ok"]) == 0
-    assert run_cli([*args[:-2], "--no-fit", "-o", tmp_path / "nofit"]) == 0
+    assert run_cli([*args[:-2], "--no-fit", "-o", tmp_path / "nofit"]) == (
+        0 if "Singular" in message else 2
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kkt-tol", "-1"], "kkt_tol must be finite and positive, got -1.0"),
+        (["--zero-tol", "-1"], "zero_tol must be finite and nonnegative, got -1.0"),
+        (["--max-sweeps", "0"], "max_sweeps must be >= 1, got 0"),
+        (["--kkt-tol", "nan"], "kkt_tol must be finite and positive, got nan"),
+    ],
+    ids=["kkt-tol", "zero-tol", "max-sweeps", "kkt-tol-nan"],
+)
+def test_robsel_no_fit_still_checks_the_solver_options(
+    tmp_path, sample_csv, capsys, monkeypatch, flags, message
+):
+    boots = []
+    monkeypatch.setattr(robsel, "bootstrap_rwp_samples", lambda *args, **kwargs: boots.append(args))
+    args = ["robsel", "-i", sample_csv, "--alpha", "0.1", "--no-fit", *flags, "-o", tmp_path / "out"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: InvalidInputError: {message}\n"
+    assert captured.out == "" and boots == []
+    assert list(tmp_path.glob("out.*")) == []
 
 
 def test_robsel_on_constant_data_prints_and_writes_nothing(tmp_path, capsys):

@@ -240,6 +240,20 @@ def test_failed_bootstrap_blanks_only_the_robsel_cells(monkeypatch, capsys):
     assert all(r.fwer_indicator is not None and r.tpr is not None for r in holm)
 
 
+def test_sweep_rows_do_not_depend_on_the_order_of_the_methods():
+    # robsel's rows read Holm's edges, so the methods do not run in plan order.
+    settings = dict(
+        d=8, edge_prob=0.2, sample_sizes=[8, 40], replications=2, alphas=[0.1, 0.3], B=20,
+        seed=9, folds=3, grid_size=5,
+    )
+    for methods in (list(simulation.KNOWN_METHODS), ["holm", "robsel"]):
+        forward = gs.run_experiment(gs.ExperimentPlan(**settings, methods=methods))
+        backward = gs.run_experiment(gs.ExperimentPlan(**settings, methods=methods[::-1]))
+        assert forward.records == backward.records
+        paired = [r for r in forward.records if r.jaccard_robsel_holm is not None]
+        assert {(r.method, r.n) for r in paired} == {("robsel", 40)} and len(paired) == 4
+
+
 def test_experiment_schedule_independent():
     plan = gs.ExperimentPlan(
         d=8,

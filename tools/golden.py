@@ -32,13 +32,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+SIX_METHODS = "robsel, holm, bonferroni, sidak, cv, ebic"
+SIX_CFG = (
+    "d = 8\nedge_prob = 0.3\nsample_sizes = 8, 60\nreplications = 2\n"
+    f"alphas = 0.05, 0.2\nbootstrap = 30\nseed = 3\nmethods = {SIX_METHODS}\n"
+)
+
 # Files written into each run directory before the first command.
 FIXTURES = {
-    "six.cfg": (
-        "d = 8\nedge_prob = 0.3\nsample_sizes = 8, 60\nreplications = 2\n"
-        "alphas = 0.05, 0.2\nbootstrap = 30\nseed = 3\n"
-        "methods = robsel, holm, bonferroni, sidak, cv, ebic\n"
-    ),
+    "six.cfg": SIX_CFG,
+    # The same plan with its methods listed in another order, Holm after robsel.
+    "six-reordered.cfg": SIX_CFG.replace(SIX_METHODS, "ebic, sidak, robsel, cv, holm, bonferroni"),
     "nonfinite.cfg": (
         "d = 8\nedge_prob = 0.3\nsample_sizes = 60\nreplications = 2\n"
         "alphas = 0.1\nbootstrap = 30\nkkt_tol = inf\nzero_tol = nan\n"
@@ -109,8 +113,11 @@ MATRIX = (
     ("experiment-t2", ["--threads", "2", "experiment", "--config", "six.cfg", "--verbose", "-o", "x2"]),
     ("experiment-headline", ["--threads", "2", "experiment", "--config", "headline.cfg", "-o", "xh"]),
     ("experiment-bom", ["experiment", "--config", "bom.cfg", "-o", "xb"]),
+    ("experiment-reordered", ["experiment", "--config", "six-reordered.cfg", "-o", "xr"]),
     ("bad-alpha", ["robsel", "-i", "s8.data.csv", "--alpha", "1.5", "-o", "bad1"]),
     ("robsel-constant", ["robsel", "-i", "constant.csv", "--alpha", "0.1", "-o", "rc"]),
+    ("robsel-nofit-bad-kkt-tol", ["robsel", "-i", "s8.data.csv", "--alpha", "0.1", "--no-fit",
+                                  "--kkt-tol", "-1", "-o", "bad8"]),
     ("bad-lambda", ["fit", "-i", "s8.data.csv", "--lambda", "-1", "-o", "bad2"]),
     ("bad-threads", ["--threads", "0", "fit", "-i", "s8.data.csv", "--lambda", "0.1", "-o", "bad3"]),
     ("bad-folds", ["tune", "-i", "s8.data.csv", "--method", "cv", "--folds", "1", "-o", "bad4"]),
